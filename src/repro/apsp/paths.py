@@ -40,30 +40,41 @@ class EarPathReconstructor:
             self.dist_r = np.zeros((0, 0))
             self.pred_r = np.zeros((0, 0), dtype=np.int64)
         # Cheapest chain per reduced vertex pair, for re-expanding steps
-        # of the reduced path (parallel chains keep only the lightest).
-        self._pair_chain: dict[tuple[int, int], int] = {}
-        rid = self.red.reduced_id
-        for cidx, chain in enumerate(self.red.chains):
-            a, b = int(rid[chain.left]), int(rid[chain.right])
-            key = (min(a, b), max(a, b))
-            prev = self._pair_chain.get(key)
-            if prev is None or chain.weight < self.red.chains[prev].weight:
-                self._pair_chain[key] = cidx
+        # of the reduced path (parallel chains keep only the lightest; the
+        # lowest chain id breaks weight ties).
+        red = self.red
+        key = self._pair_keys(red.chain_left_rid, red.chain_right_rid)
+        ids = np.arange(red.n_chains)
+        order = np.lexsort((ids, red.chain_weight, key))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        self._pair_key = key[order[first]]
+        self._pair_chain = order[first]
 
     # ------------------------------------------------------------------ #
+
+    def _pair_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One int key per unordered reduced vertex pair ``{a, b}``."""
+        return np.minimum(a, b) * max(self.red.graph.n, 1) + np.maximum(a, b)
+
+    def _chain_walk(self, c: int, start: int, stop: int) -> list[int]:
+        """Vertices ``start .. stop`` (inclusive, either direction) of chain ``c``."""
+        s = self.red.chain_span(c).start
+        if start <= stop:
+            return self.red.chain_vertices[s + start : s + stop + 1].tolist()
+        return self.red.chain_vertices[s + stop : s + start + 1][::-1].tolist()
 
     def _anchors(self, x: int) -> list[tuple[int, float, list[int]]]:
         """``(reduced anchor id, distance, walk x→anchor)`` options."""
         red = self.red
         if red.kept_mask[x]:
             return [(int(red.reduced_id[x]), 0.0, [int(x)])]
-        chain = red.chains[int(red.chain_of[x])]
+        c = int(red.chain_of[x])
         pos = int(red.pos_in_chain[x])
-        left_walk = [int(v) for v in chain.vertices[: pos + 1][::-1]]
-        right_walk = [int(v) for v in chain.vertices[pos:]]
+        last = int(red.chain_indptr[c + 1] - red.chain_indptr[c])
         return [
-            (int(red.reduced_id[chain.left]), float(red.dist_left[x]), left_walk),
-            (int(red.reduced_id[chain.right]), float(red.dist_right[x]), right_walk),
+            (int(red.chain_left_rid[c]), float(red.dist_left[x]), self._chain_walk(c, pos, 0)),
+            (int(red.chain_right_rid[c]), float(red.dist_right[x]), self._chain_walk(c, pos, last)),
         ]
 
     def _reduced_vertex_path(self, a: int, b: int) -> list[int] | None:
@@ -86,13 +97,15 @@ class EarPathReconstructor:
         """Reduced vertex path → original vertex walk via chain expansion."""
         red = self.red
         out = [int(red.kept_ids[rpath[0]])]
-        for a, b in zip(rpath[:-1], rpath[1:]):
-            cidx = self._pair_chain[(min(a, b), max(a, b))]
-            chain = red.chains[cidx]
-            verts = [int(v) for v in chain.vertices]
-            if red.reduced_id[chain.left] != a:
-                verts = verts[::-1]
-            out.extend(verts[1:])
+        a = np.asarray(rpath[:-1], dtype=np.int64)
+        b = np.asarray(rpath[1:], dtype=np.int64)
+        chains = self._pair_chain[np.searchsorted(self._pair_key, self._pair_keys(a, b))]
+        for c, ra in zip(chains.tolist(), a.tolist()):
+            last = int(red.chain_indptr[c + 1] - red.chain_indptr[c])
+            if red.chain_left_rid[c] == ra:
+                out.extend(self._chain_walk(c, 1, last))
+            else:
+                out.extend(self._chain_walk(c, last - 1, 0))
         return out
 
     def path(self, u: int, v: int) -> tuple[float, list[int]]:
@@ -108,13 +121,9 @@ class EarPathReconstructor:
             and not red.kept_mask[v]
             and red.chain_of[u] == red.chain_of[v]
         ):
-            chain = red.chains[int(red.chain_of[u])]
-            pu, pv = int(red.pos_in_chain[u]), int(red.pos_in_chain[v])
-            lo, hi = min(pu, pv), max(pu, pv)
-            d = float(abs(chain.prefix[pu] - chain.prefix[pv]))
-            walk = [int(x) for x in chain.vertices[lo : hi + 1]]
-            if pu > pv:
-                walk = walk[::-1]
+            c = int(red.chain_of[u])
+            d = float(abs(red.dist_left[u] - red.dist_left[v]))
+            walk = self._chain_walk(c, int(red.pos_in_chain[u]), int(red.pos_in_chain[v]))
             best = (d, walk)
 
         for au, du, walk_u in self._anchors(u):
@@ -148,10 +157,7 @@ class EarPathReconstructor:
             and not red.kept_mask[v]
             and red.chain_of[u] == red.chain_of[v]
         ):
-            chain = red.chains[int(red.chain_of[u])]
-            best = float(
-                abs(chain.prefix[red.pos_in_chain[u]] - chain.prefix[red.pos_in_chain[v]])
-            )
+            best = float(abs(red.dist_left[u] - red.dist_left[v]))
         for au, du, _ in self._anchors(u):
             for av, dv, _ in self._anchors(v):
                 mid = float(self.dist_r[au, av]) if self.dist_r.size else np.inf

@@ -53,19 +53,17 @@ class _ComponentStore:
             return float(s[rid[lu], rid[lv]])
         if ku or kv:
             x, v = (lv, lu) if ku else (lu, lv)
-            cx = red.chains[int(red.chain_of[x])]
-            lx, rx = rid[cx.left], rid[cx.right]
+            cx = red.chain_of[x]
             return float(
                 min(
-                    red.dist_left[x] + s[lx, rid[v]],
-                    red.dist_right[x] + s[rx, rid[v]],
+                    red.dist_left[x] + s[red.chain_left_rid[cx], rid[v]],
+                    red.dist_right[x] + s[red.chain_right_rid[cx], rid[v]],
                 )
             )
         # both removed
-        cx = red.chains[int(red.chain_of[lu])]
-        cy = red.chains[int(red.chain_of[lv])]
-        lx, rx = rid[cx.left], rid[cx.right]
-        ly, ry = rid[cy.left], rid[cy.right]
+        cx, cy = red.chain_of[lu], red.chain_of[lv]
+        lx, rx = red.chain_left_rid[cx], red.chain_right_rid[cx]
+        ly, ry = red.chain_left_rid[cy], red.chain_right_rid[cy]
         dlu, dru = red.dist_left[lu], red.dist_right[lu]
         dlv, drv = red.dist_left[lv], red.dist_right[lv]
         best = min(
@@ -74,12 +72,9 @@ class _ComponentStore:
             dru + s[rx, ly] + dlv,
             dru + s[rx, ry] + drv,
         )
-        if red.chain_of[lu] == red.chain_of[lv]:
-            direct = abs(
-                float(cx.prefix[red.pos_in_chain[lu]])
-                - float(cx.prefix[red.pos_in_chain[lv]])
-            )
-            best = min(best, direct)
+        if cx == cy:
+            # Same chain: ``dist_left`` is the chain prefix.
+            best = min(best, abs(dlu - dlv))
         return float(best)
 
     def dist_many(

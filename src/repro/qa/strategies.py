@@ -35,6 +35,7 @@ __all__ = [
     "parallel_hairball",
     "disconnected_graph",
     "star_of_cycles",
+    "long_chain_graph",
     "reweighted",
     "adversarial_corpus",
     "random_corpus",
@@ -177,6 +178,46 @@ def star_of_cycles(arms: int = 3, cycle_len: int = 4, seed: int = 0) -> CSRGraph
     return CSRGraph(n, us, vs, w)
 
 
+def long_chain_graph(
+    n_chains: int = 3, chain_len: int = 250, cycle_len: int = 250, seed: int = 0
+) -> CSRGraph:
+    """A small core with long grafted chains, plus one long pure cycle.
+
+    The core is ``K_4``.  About ``chain_len`` degree-2 vertices are split
+    over ``n_chains`` chains: the first returns to its own core vertex (a
+    self-loop in ``G^r``), the last is a pendant tail ending in a degree-1
+    vertex, the others join two distinct core vertices.  A separate
+    ``cycle_len``-vertex cycle of degree-2 vertices has no kept vertex, so
+    the reduction must anchor it itself.  Reducing it takes several rounds
+    of list ranking, while the cycle space stays small (dimension
+    ``3 + n_chains``), so every differential implementation stays fast.
+    """
+    rng = np.random.default_rng(seed)
+    core = complete_graph(4)
+    us, vs = list(core.edge_u), list(core.edge_v)
+    n = 4
+    cuts = np.sort(rng.choice(np.arange(1, chain_len), size=n_chains - 1, replace=False))
+    for i, size in enumerate(np.diff(np.r_[0, cuts, chain_len])):
+        a, b = (int(x) for x in rng.choice(4, size=2, replace=False))
+        if i == 0:
+            b = a
+        walk = [a, *range(n, n + int(size))]
+        n += int(size)
+        if i == n_chains - 1:
+            walk.append(n)  # pendant end vertex
+            n += 1
+        else:
+            walk.append(b)
+        us.extend(walk[:-1])
+        vs.extend(walk[1:])
+    ring = (n + rng.permutation(cycle_len)).tolist()
+    n += cycle_len
+    us.extend(ring)
+    vs.extend(ring[1:] + ring[:1])
+    w = rng.uniform(0.5, 2.0, len(us))
+    return CSRGraph(n, us, vs, w)
+
+
 def reweighted(g: CSRGraph, mode: str = "ties", seed: int = 0) -> CSRGraph:
     """Replace the weights of ``g`` to stress a tie-breaking regime.
 
@@ -244,6 +285,7 @@ def adversarial_corpus(seed: int = 0) -> list[tuple[str, CSRGraph]]:
         ("near-zero-grid", reweighted(grid_graph(3, 4), "near-zero", seed=s())),
         ("gnm-sparse", gnm_random_graph(14, 16, seed=s())),
         ("gnm-dense", gnm_random_graph(10, 28, seed=s())),
+        ("long-chains", long_chain_graph(seed=s())),
     ]
     return cases
 

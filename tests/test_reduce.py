@@ -161,3 +161,45 @@ def test_isolated_vertices_kept():
     red = reduce_graph(g)
     red.validate()
     assert red.kept_mask[2] and red.kept_mask[3]
+
+
+def test_chain_weight_overflow_names_anchors():
+    from repro.apsp import ear_apsp_full
+
+    # finite weights whose chain 0-1-2 sums past float64
+    g = CSRGraph(4, [0, 1, 2, 3, 0], [1, 2, 3, 0, 2], [1e308, 1e308, 1.0, 1.0, 5.0])
+    with pytest.raises(GraphError, match="overflows float64.* vertices 0 and 2"):
+        reduce_graph(g)
+    with pytest.raises(GraphError, match="overflows float64.* vertices 0 and 2"):
+        ear_apsp_full(g)
+
+
+def test_chains_is_a_read_only_view_of_the_table():
+    g = randomize_weights(subdivide_edges(grid_graph(3, 3), 1.0, seed=5), seed=5)
+    red = reduce_graph(g)
+    assert len(red.chains) == red.n_chains == red.graph.m
+    assert np.array_equal(red.chains[-1].edges, red.chains[red.n_chains - 1].edges)
+    assert [len(c) for c in red.chains[1:3]] == [len(red.chains[1]), len(red.chains[2])]
+    with pytest.raises(IndexError):
+        red.chains[red.n_chains]
+    for c, chain in enumerate(red.chains):
+        assert np.array_equal(chain.edges, red.expand_edge(c))
+        assert chain.weight == red.chain_weight[c]
+        assert chain.prefix[0] == 0.0
+    with pytest.raises(ValueError):
+        red.chains[0].prefix[0] = 1.0
+    with pytest.raises(ValueError):
+        red.chain_edges[0] = 0
+
+
+def test_anchors_and_expand_read_the_table():
+    g = randomize_weights(subdivide_edges(grid_graph(3, 4), 1.0, seed=6), seed=6)
+    red = reduce_graph(g)
+    for x in np.nonzero(~red.kept_mask)[0]:
+        chain = red.chains[int(red.chain_of[x])]
+        assert red.left_anchor(x) == chain.left and red.right_anchor(x) == chain.right
+        assert chain.vertices[red.pos_in_chain[x]] == x
+    picks = [3, 0, 2]
+    want = np.concatenate([red.chains[e].edges for e in picks])
+    assert np.array_equal(red.expand_cycle(picks), want)
+    assert red.expand_cycle(np.asarray(picks)).dtype == np.int64
