@@ -125,9 +125,8 @@ def _mm_traced(
     n, f = ctx.n, ctx.f
     words = gf2.n_words(f)
 
-    spt_stage = trace.new_stage("spt")
-    for _ in range(len(ctx.fvs)):
-        spt_stage.add(max(g.m, 1) * BYTES_SPT_PER_EDGE, n)
+    k = len(ctx.fvs)
+    trace.new_stage("spt").add(max(g.m, 1) * BYTES_SPT_PER_EDGE, n, count=k)
 
     store = ctx.new_store()
     witnesses = gf2.identity(f)
@@ -138,9 +137,8 @@ def _mm_traced(
     for i in range(f):
         s_pad = ctx.witness_edge_bits(witnesses[i])
         labels = ctx.compute_labels(s_pad)
-        label_stage = trace.new_stage("labels")
-        for _ in range(len(ctx.fvs)):
-            label_stage.add(n * BYTES_LABEL_PER_VERTEX, n)
+        # One label pass per tree: the phase's |Z| identical units.
+        trace.new_stage("labels").add(n * BYTES_LABEL_PER_VERTEX, n, count=k)
 
         tested_before = store.stats.candidates_tested
         cand = store.scan_and_remove(ctx.scan_predicate(labels, s_pad))

@@ -36,8 +36,9 @@ class Stage:
     units: list[tuple[float, int]] = field(default_factory=list)  # (work, items)
     divisible: bool = False
 
-    def add(self, work: float, items: int = 1) -> None:
-        self.units.append((float(work), int(items)))
+    def add(self, work: float, items: int = 1, count: int = 1) -> None:
+        """Record ``count`` identical units of ``(work, items)``."""
+        self.units.extend([(float(work), int(items))] * count)
 
     @property
     def total_work(self) -> float:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..decomposition.reduce import _rank_slots
 from ..graph.csr import CSRGraph
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
@@ -116,15 +117,6 @@ class MMContext:
         # lca-filtered candidate theorem of [29] requires.
         self.dist, self.parent = spt_forest(self._pg, self.fvs)
 
-        # Min-weight representative edge per vertex pair (perturbation makes
-        # it unique), for mapping tree arcs back to edge ids.
-        self._pair_edge: dict[tuple[int, int], int] = {}
-        order = np.argsort(pw)[::-1]  # heavier first so lightest wins last
-        for e in order:
-            u, v = g.edge_endpoints(int(e))
-            if u != v:
-                self._pair_edge[(min(u, v), max(u, v))] = int(e)
-
         self._build_tree_tables()
         self._build_candidates(lca_filter)
         self.block_size = block_size
@@ -134,109 +126,103 @@ class MMContext:
     # ------------------------------------------------------------------ #
 
     def _build_tree_tables(self) -> None:
-        """Depths, level ordering, and parent-edge E' indices per tree."""
+        """Depths, level ordering, and parent-edge E' indices per tree.
+
+        All ``|Z|`` trees are handled at once on the flattened ``(|Z|·n)``
+        index space ``zi·n + v``.
+        """
+        g = self.graph
+        pw = self._pg.edge_w
         k, n = self.parent.shape
-        self.depth = np.full((k, n), -1, dtype=np.int64)
-        self.parent_ep = np.full((k, n), -1, dtype=np.int64)
+        has_par = self.parent != _NO_PRED
+        flat_parent = (
+            np.where(has_par, self.parent, 0) + np.arange(k)[:, None] * n
+        ).reshape(-1)
+
+        # Depth = hop count to the root, by the pointer doubling that ranks
+        # chain slots: roots and unreachable vertices are fixed points of
+        # rank 0.
+        has = has_par.reshape(-1)
+        jump = np.where(has, flat_parent, np.arange(k * n))
+        rank = has.astype(np.int64)
+        _rank_slots(jump, rank, ~has, np.nonzero(has)[0])
+        self.depth = np.where(np.isfinite(self.dist), rank.reshape(k, n), -1)
+
+        # Tree arc -> edge id: the lightest edge per vertex pair, i.e. the
+        # first of its pair in argsort(pw) order, looked up by sorted key.
+        eu, ev = g.edge_u, g.edge_v
+        by_w = np.argsort(pw)
+        by_w = by_w[eu[by_w] != ev[by_w]]
+        pair = np.minimum(eu, ev)[by_w] * n + np.maximum(eu, ev)[by_w]
+        grouped = np.argsort(pair, kind="stable")
+        keys = pair[grouped]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys, winner = keys[first], by_w[grouped[first]]
+
+        zc, v = np.nonzero(has_par)
+        p = self.parent[zc, v]
+        eid = winner[np.searchsorted(keys, np.minimum(v, p) * n + np.maximum(v, p))]
         self.parent_eid = np.full((k, n), -1, dtype=np.int64)
-        self.levels: list[list[np.ndarray]] = []
-        ep_of_edge = self.ss.eprime_index
-        for zi in range(k):
-            par = self.parent[zi]
-            root = int(self.fvs[zi])
-            reachable = np.isfinite(self.dist[zi])
-            order = np.argsort(self.dist[zi], kind="stable")
-            depth = self.depth[zi]
-            depth[root] = 0
-            for v in order:
-                v = int(v)
-                if v == root or not reachable[v]:
-                    continue
-                p = int(par[v])
-                if p == _NO_PRED:
-                    continue
-                depth[v] = depth[p] + 1
-                eid = self._pair_edge[(min(v, p), max(v, p))]
-                self.parent_eid[zi, v] = eid
-                self.parent_ep[zi, v] = ep_of_edge[eid]
-            max_d = int(depth.max())
-            lv = [
-                np.nonzero(depth == d)[0] for d in range(1, max_d + 1)
-            ] if max_d >= 1 else []
-            self.levels.append(lv)
+        self.parent_eid[zc, v] = eid
+        self.parent_ep = np.full((k, n), -1, dtype=np.int64)
+        self.parent_ep[zc, v] = self.ss.eprime_index[eid]
 
         # Flattened cross-tree level schedule: one numpy gather/xor per
         # depth covers that depth in *every* tree at once.  This is still
         # Algorithm 3's level-order second pass, executed for all |Z|
-        # trees simultaneously (what the CUDA grid does spatially).
+        # trees simultaneously (what the CUDA grid does spatially).  Each
+        # level is sorted by flat index, so one tree's part of it is a
+        # contiguous run (see labels_for_tree).
         self._flat_parent_ep = self.parent_ep.reshape(-1)
-        max_depth = int(self.depth.max()) if self.depth.size else 0
-        self._flat_levels: list[tuple[np.ndarray, np.ndarray]] = []
-        flat_parent = np.where(
-            self.parent == _NO_PRED, 0, self.parent
-        ) + (np.arange(k)[:, None] * n)
-        for d in range(1, max_depth + 1):
-            sel = np.nonzero(self.depth.reshape(-1) == d)[0]
-            if sel.size:
-                self._flat_levels.append((sel, flat_parent.reshape(-1)[sel]))
+        flat_depth = self.depth.reshape(-1)
+        sched = np.argsort(flat_depth, kind="stable")
+        cuts = np.cumsum(np.bincount(flat_depth + 1))  # ends of depth -1, 0, 1, ...
+        self._flat_levels: list[tuple[np.ndarray, np.ndarray]] = [
+            (sel, flat_parent[sel])
+            for sel in (sched[a:b] for a, b in zip(cuts[1:-1], cuts[2:]))
+        ]
 
     def _build_candidates(self, lca_filter: bool) -> None:
-        """Candidate family A, weight-sorted into the hybrid store."""
+        """Candidate family A, weight-sorted into the hybrid store.
+
+        One boolean mask over ``(|Z|, non-loop edges)``: both endpoints
+        reachable, not a tree arc of ``T_z``, and — with ``lca_filter`` —
+        ``lca_{T_z}(u, v) = z``.  The LCA test reads a top-child table:
+        ``top[z, v]`` is the depth-1 ancestor of ``v`` in ``T_z``, and
+        ``lca(u, v) = z`` iff one endpoint is ``z`` or the two hang under
+        different children of ``z``.  The root's entry is ``-1``, unlike
+        any child's, so both cases are ``top[z, u] != top[z, v]``.
+        Self-loops come first, then the ``(z, e)`` pairs in row-major
+        order.
+        """
         g = self.graph
-        cz: list[int] = []
-        ce: list[int] = []
-        cu: list[int] = []
-        cv: list[int] = []
-        cw: list[float] = []
+        k, n = self.parent.shape
         pw = self._pg.edge_w
         loops = np.nonzero(g.edge_u == g.edge_v)[0]
-        for e in loops:
-            cz.append(-1)
-            ce.append(int(e))
-            cu.append(int(g.edge_u[e]))
-            cv.append(int(g.edge_u[e]))
-            cw.append(float(pw[e]))
-        for zi in range(len(self.fvs)):
-            dist = self.dist[zi]
-            depth = self.depth[zi]
-            par = self.parent[zi]
-            for e in range(g.m):
-                u, v = int(g.edge_u[e]), int(g.edge_v[e])
-                if u == v:
-                    continue
-                if not (np.isfinite(dist[u]) and np.isfinite(dist[v])):
-                    continue
-                if self.parent_eid[zi, u] == e or self.parent_eid[zi, v] == e:
-                    continue  # tree arc of T_z: not a candidate chord
-                if lca_filter and self._lca(par, depth, u, v) != int(self.fvs[zi]):
-                    continue
-                cz.append(zi)
-                ce.append(e)
-                cu.append(u)
-                cv.append(v)
-                cw.append(float(dist[u] + pw[e] + dist[v]))
-        self.cand_z = np.asarray(cz, dtype=np.int64)
-        self.cand_e = np.asarray(ce, dtype=np.int64)
-        self.cand_u = np.asarray(cu, dtype=np.int64)
-        self.cand_v = np.asarray(cv, dtype=np.int64)
-        self.cand_w = np.asarray(cw, dtype=np.float64)
+        edges = np.nonzero(g.edge_u != g.edge_v)[0]
+        u, v = g.edge_u[edges], g.edge_v[edges]
+
+        keep = np.isfinite(self.dist[:, u]) & np.isfinite(self.dist[:, v])
+        keep &= self.parent_eid[:, u] != edges
+        keep &= self.parent_eid[:, v] != edges
+        if lca_filter:
+            top = np.full(k * n, -1, dtype=np.int64)
+            for d, (sel, par) in enumerate(self._flat_levels):
+                top[sel] = sel if d == 0 else top[par]
+            top = top.reshape(k, n)
+            keep &= top[:, u] != top[:, v]
+        zi, j = np.nonzero(keep)
+
+        self.cand_z = np.concatenate([np.full(loops.size, -1, dtype=np.int64), zi])
+        self.cand_e = np.concatenate([loops, edges[j]])
+        self.cand_u = np.concatenate([g.edge_u[loops], u[j]])
+        self.cand_v = np.concatenate([g.edge_u[loops], v[j]])
+        self.cand_w = np.concatenate(
+            [pw[loops], (self.dist[zi, u[j]] + pw[edges[j]]) + self.dist[zi, v[j]]]
+        )
         self.cand_ep = self.ss.eprime_index[self.cand_e]
         self.order = np.argsort(self.cand_w, kind="stable")
-
-    @staticmethod
-    def _lca(par: np.ndarray, depth: np.ndarray, u: int, v: int) -> int:
-        a, b = u, v
-        da, db = int(depth[a]), int(depth[b])
-        while da > db:
-            a = int(par[a])
-            da -= 1
-        while db > da:
-            b = int(par[b])
-            db -= 1
-        while a != b:
-            a = int(par[a])
-            b = int(par[b])
-        return a
 
     # ------------------------------------------------------------------ #
     # Per-phase work units
@@ -252,14 +238,17 @@ class MMContext:
         """Algorithm 3 for one tree ``T_z``: the two passes over ``T_z``.
 
         Pass 1 gathers the witness bit of each parent edge (``c_z``);
-        pass 2 is a level-order prefix-xor producing ``l_z``.
+        pass 2 is a level-order prefix-xor producing ``l_z``, over this
+        tree's run of each level of the flat cross-tree schedule.
         One call = one work unit of the heterogeneous label stage.
         """
         c = s_pad[self.parent_ep[zi]]
         labels = np.zeros(self.n, dtype=np.uint8)
-        par = self.parent[zi]
-        for level in self.levels[zi]:
-            labels[level] = labels[par[level]] ^ c[level]
+        base = zi * self.n
+        for sel, par in self._flat_levels:
+            lo, hi = np.searchsorted(sel, (base, base + self.n))
+            level = sel[lo:hi] - base
+            labels[level] = labels[par[lo:hi] - base] ^ c[level]
         return labels
 
     def compute_labels(self, s_pad: np.ndarray, parallel_map=None) -> np.ndarray:

@@ -21,8 +21,11 @@ and ``spawn``, because :mod:`repro.obs` imports this module) and write
 their own shards at exit, which :func:`read_profile` merges.
 
 Overhead at the default 97 Hz is a fraction of a percent for
-numpy-dominated workloads (the sampled threads never block); the contract
-is measured by ``scripts/bench_smoke.py`` (< 5%) and gated in CI.
+numpy-dominated workloads (the sampled threads never block).  The sampler
+thread accumulates its own CPU time (``cpu_s``, from
+:func:`time.thread_time`), so the cost is measured directly rather than as
+a wall-clock A/B difference; ``scripts/bench_smoke.py`` reports it as a
+fraction of the armed wall time (< 5%) and CI gates it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import atexit
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 from . import metrics as _metrics
@@ -83,6 +87,7 @@ class StackSampler:
         self.counts: dict[tuple[str, ...], int] = {}
         self.samples = 0
         self.errors = 0
+        self.cpu_s = 0.0  # CPU seconds spent by the sampler thread itself
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -109,7 +114,9 @@ class StackSampler:
     def _run(self) -> None:
         interval = 1.0 / self.hz
         me = threading.get_ident()
+        start = time.thread_time()
         while not self._stop.wait(interval):
+            self.cpu_s = time.thread_time() - start
             try:
                 frames = sys._current_frames()
             except Exception:
@@ -133,6 +140,7 @@ class StackSampler:
                     self.counts[key] = self.counts.get(key, 0) + 1
                     self.samples += 1
                 _C_SAMPLES.inc()
+        self.cpu_s = time.thread_time() - start
 
     # -- export -------------------------------------------------------- #
 

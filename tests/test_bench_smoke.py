@@ -80,11 +80,11 @@ def test_sampler_overhead_section(baseline):
     assert {"smoke.sampler.disabled", "smoke.sampler.enabled"} <= set(
         baseline["phases"]
     )
-    # The < 5% contract holds where the sampler thread gets its own
-    # core; on a single-core host scheduler churn swamps the signal
-    # (see bench_sampler_overhead's docstring), so judge presence only.
-    if baseline["parallel"]["host_cores"] >= 2:
-        assert sp["overhead_frac"] < 0.05
+    # The < 5% contract is on the sampler thread's own CPU time, which
+    # host noise does not move, so it holds on any core count; the
+    # wall-clock A/B ``overhead_frac`` is reported but not gated.
+    assert 0.0 < sp["sampler_cpu_s"] < sp["armed_s"]
+    assert sp["cpu_frac"] < 0.05
 
 
 def test_paper_rows_present(baseline):

@@ -1,10 +1,17 @@
 """Heterogeneous MCB/APSP runners: correct answers + sensible timings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.apsp import dijkstra_apsp
-from repro.graph import randomize_weights, random_biconnected_graph, subdivide_edges
+from repro.graph import (
+    gnm_random_graph,
+    randomize_weights,
+    random_biconnected_graph,
+    subdivide_edges,
+)
 from repro.hetero import (
     Platform,
     apsp_with_trace,
@@ -36,6 +43,33 @@ class TestMCBRunner:
         _, trace = mcb_with_trace(medium, use_ear=True)
         kinds = {s.kind for s in trace.stages}
         assert {"decompose", "reduce", "spt", "labels", "scan", "update"} <= kinds
+
+    def test_trace_units_and_makespans_pinned(self):
+        """Per-phase unit recording leaves the trace and its replays as they were.
+
+        The digest and makespans were recorded with one ``Stage.add`` call
+        per tree per phase; batching the phase's identical label units into
+        one call must not move a unit or a virtual second.
+        """
+        g = randomize_weights(gnm_random_graph(40, 90, seed=5), seed=5)
+        _, trace = mcb_with_trace(g)
+        units = [(s.kind, s.divisible, s.units) for s in trace.stages]
+        assert sum(len(u) for _, _, u in units) == 675
+        digest = hashlib.sha256(repr(units).encode()).hexdigest()
+        assert digest == "37ee9d437ee75a8545f097fef0661553752f9ab76af3430763e12030cf20efe5"
+        makespans = {
+            "sequential": 6.003314285714248e-05,
+            "multicore": 0.0005370150226244987,
+            "gpu": 0.0006103408333333353,
+            "cpu+gpu": 0.0005522278575477808,
+        }
+        for platform in (
+            Platform.sequential(),
+            Platform.multicore(),
+            Platform.gpu(),
+            Platform.heterogeneous(),
+        ):
+            assert simulate_trace(trace, platform).total_time == makespans[platform.name]
 
     def test_no_ear_trace_has_no_reduce(self, medium):
         _, trace = mcb_with_trace(medium, use_ear=False)

@@ -73,6 +73,15 @@ class TestCapture:
         s = _sample_busy_thread()
         assert metrics.counter("sampler.samples").value - before >= s.samples > 0
 
+    def test_cpu_time_is_its_own_thread(self):
+        """``cpu_s`` is the sampler thread's CPU time: positive, and far
+        below the wall time it was armed for at a modest rate."""
+        t0 = time.perf_counter()
+        s = _sample_busy_thread(hz=97.0)
+        wall = time.perf_counter() - t0
+        assert s.samples > 0
+        assert 0.0 < s.cpu_s < wall
+
     def test_invalid_hz_rejected(self):
         with pytest.raises(ValueError):
             StackSampler(hz=0)
