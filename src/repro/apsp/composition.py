@@ -24,11 +24,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from ..decomposition.biconnected import BCCDecomposition, biconnected_components
 from ..graph.csr import CSRGraph
-from ..sssp.engine import ZERO_WEIGHT_NUDGE
+from ..sssp.engine import strip_nudge, symmetric_adjacency, symmetric_dijkstra
 from .ear_apsp import solve_component
 
 Solver = Callable[[CSRGraph], np.ndarray]
@@ -114,38 +113,10 @@ def build_component_tables(
 
     ap_ids = bcc.articulation_points
     ap_index = {int(v): i for i, v in enumerate(ap_ids)}
-    a = len(ap_ids)
-    if a:
-        # AP graph: clique per component over its APs, weighted by the
-        # already-exact intra-component distances.  Two APs can share more
-        # than one component, so pairs are deduplicated keeping the minimum
-        # (COO duplicates would otherwise *sum* on CSR conversion).
-        best: dict[tuple[int, int], float] = {}
-        for cid in range(bcc.count):
-            verts = bcc.component_vertices[cid]
-            local_aps = [
-                (ap_index[int(v)], i)
-                for i, v in enumerate(verts)
-                if int(v) in ap_index
-            ]
-            for x, (gi, li) in enumerate(local_aps):
-                for gj, lj in local_aps[x + 1 :]:
-                    w = float(tables[cid][li, lj])
-                    if not np.isfinite(w):
-                        continue
-                    key = (min(gi, gj), max(gi, gj))
-                    w = max(w, ZERO_WEIGHT_NUDGE)
-                    if key not in best or w < best[key]:
-                        best[key] = w
-        if best:
-            rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-            cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-            vals = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-            mat = sp.coo_matrix((vals, (rows, cols)), shape=(a, a)).tocsr()
-        else:
-            mat = sp.csr_matrix((a, a))
-        ap_matrix = np.asarray(
-            csgraph.dijkstra(mat, directed=False), dtype=np.float64
+    if ap_index:
+        mat = _ap_graph(bcc, tables, ap_index)
+        ap_matrix = strip_nudge(
+            np.asarray(symmetric_dijkstra(mat), dtype=np.float64), mat.data
         )
         np.fill_diagonal(ap_matrix, 0.0)
     else:
@@ -162,6 +133,35 @@ def build_component_tables(
         compose_seconds=t2 - t1,
         vertex_local=vertex_local,
     )
+
+
+def _ap_graph(
+    bcc: BCCDecomposition, tables: list[np.ndarray], ap_index: dict[int, int]
+) -> sp.csr_matrix:
+    """The AP graph: a clique per component over its APs.
+
+    Edges are weighted by the already-exact intra-component distances.
+    Two APs can share more than one component, so each pair is kept once
+    at its minimum, and both of its arcs are stored.
+    """
+    best: dict[tuple[int, int], float] = {}
+    for cid in range(bcc.count):
+        verts = bcc.component_vertices[cid]
+        local_aps = [
+            (ap_index[int(v)], i) for i, v in enumerate(verts) if int(v) in ap_index
+        ]
+        for x, (gi, li) in enumerate(local_aps):
+            for gj, lj in local_aps[x + 1 :]:
+                w = float(tables[cid][li, lj])
+                if not np.isfinite(w):
+                    continue
+                key = (min(gi, gj), max(gi, gj))
+                if key not in best or w < best[key]:
+                    best[key] = w
+    rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
+    cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
+    vals = np.fromiter(best.values(), dtype=np.float64, count=len(best))
+    return symmetric_adjacency(len(ap_index), rows, cols, vals)
 
 
 def assemble_full_matrix(g: CSRGraph, ct: ComponentTables) -> np.ndarray:

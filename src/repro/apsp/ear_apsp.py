@@ -7,9 +7,10 @@ Three phases (Section 2.1):
    the paper; here either the compiled bulk engine or, under the
    heterogeneous executor, per-source work units).
 3. **Post-process** — extend ``S^r`` to all of ``G`` with the closed-form
-   minima over chain anchors ``left(x)/right(x)`` (Section 2.1.3), fully
-   vectorized: the removed-to-removed block is four broadcast min-plus
-   terms plus a per-chain along-the-chain correction.
+   minima over chain anchors ``left(x)/right(x)`` (Section 2.1.3), as two
+   anchor passes: removed → reduced (``|R| × n_r``), then removed → every
+   vertex (``|R| × n``), plus the along-the-chain correction on the
+   ``Σ L_c²`` same-chain pairs taken from the chain table.
 
 :func:`ear_apsp_full` applies the pipeline to the *whole* graph, which is
 valid for any connected or disconnected input (the anchor-exit argument
@@ -51,53 +52,93 @@ class EarAPSPReport:
         return self.t_preprocess + self.t_process + self.t_postprocess
 
 
+#: Target size of one block of output rows in the postprocess (256 KiB:
+#: the block and its pass-2 partner fit a typical L2 cache).
+_ROW_BLOCK_BYTES = 1 << 18
+
+
 def extend_reduced_distances(red: ReducedGraph, s_r: np.ndarray) -> np.ndarray:
     """Phase III: lift the reduced distance matrix ``S^r`` to all of ``G``.
 
-    Implements the Section 2.1.3 formulas:
+    Implements the Section 2.1.3 formulas with two anchor passes.  Every
+    vertex ``y`` has two anchors ``a1(y), a2(y)`` (reduced ids) at offsets
+    ``o1(y), o2(y)``: a removed vertex's are ``ℓy, ry`` at ``dl(y), dr(y)``,
+    a kept vertex's are both its own reduced id at offset 0.  Then
 
-    * kept–kept pairs copy straight from ``S^r``;
-    * removed ``x`` to kept ``v``:
-      ``min(dl(x) + S^r[ℓx, v], dr(x) + S^r[rx, v])``;
-    * removed–removed: the four ``{ℓ,r} × {ℓ,r}`` crossing terms, then for
-      pairs on the *same* chain the direct along-chain distance
-      ``|prefix(x) − prefix(y)|`` is min-ed in.
+    1. ``t[x, w] = min(dl(x) + S^r[ℓx, w], dr(x) + S^r[rx, w])`` for every
+       removed ``x`` and reduced ``w`` (removed → kept);
+    2. ``d(x, y) = min(t[x, a1(y)] + o1(y), t[x, a2(y)] + o2(y))`` for every
+       removed ``x`` and every ``y``, which expands to the four
+       ``{ℓ,r} × {ℓ,r}`` crossing terms when ``y`` is removed;
+    3. kept rows are ``S^r`` plus the transpose of ``t``;
+    4. pairs on the *same* chain take the direct along-chain distance
+       ``|prefix(x) − prefix(y)|`` if shorter; the pairs are enumerated
+       from the chain table, ``Σ L_c²`` of them.
+
+    Rounding is monotone (``fl(min(a, b) + c) = min(fl(a + c), fl(b + c))``),
+    so folding the first anchor minimum into ``t`` gives the same bits as
+    evaluating the four crossing terms separately.  Rows are produced in
+    blocks of about :data:`_ROW_BLOCK_BYTES` so that the pass-2 temporaries
+    stay in cache and each block is copied into its output rows once.
     """
-    g = red.original
-    n = g.n
+    n = red.original.n
     kept = red.kept_ids
-    out = np.full((n, n), np.inf, dtype=np.float64)
-    if kept.size:
-        out[np.ix_(kept, kept)] = s_r
-    removed = np.nonzero(~red.kept_mask)[0]
-    if removed.size:
-        ch = red.chain_of[removed]
-        left = red.chain_left_rid[ch]
-        right = red.chain_right_rid[ch]
-        dl = red.dist_left[removed]
-        dr = red.dist_right[removed]
+    removed = np.flatnonzero(~red.kept_mask)
+    a1 = red.reduced_id.copy()
+    a2 = red.reduced_id.copy()
+    ch = red.chain_of[removed]
+    a1[removed] = red.chain_left_rid[ch]
+    a2[removed] = red.chain_right_rid[ch]
+    o1, o2 = red.dist_left, red.dist_right
 
-        # Removed -> kept (and the symmetric kept -> removed block).
-        d_rk = np.minimum(dl[:, None] + s_r[left, :], dr[:, None] + s_r[right, :])
-        out[np.ix_(removed, kept)] = d_rk
-        out[np.ix_(kept, removed)] = d_rk.T
+    t = np.minimum(
+        o1[removed, None] + s_r[a1[removed]], o2[removed, None] + s_r[a2[removed]]
+    )
+    out = np.empty((n, n), dtype=np.float64)
+    rows = max(1, min(n, _ROW_BLOCK_BYTES // (8 * max(n, 1))))
+    buf = np.empty((rows, n), dtype=np.float64)
+    tmp = np.empty((rows, n), dtype=np.float64)
+    for lo in range(0, removed.size, rows):
+        hi = min(lo + rows, removed.size)
+        b, c = buf[: hi - lo], tmp[: hi - lo]
+        np.take(t[lo:hi], a1, axis=1, out=b)
+        b += o1
+        np.take(t[lo:hi], a2, axis=1, out=c)
+        c += o2
+        np.minimum(b, c, out=b)
+        out[removed[lo:hi]] = b
+    for lo in range(0, kept.size, rows):
+        hi = min(lo + rows, kept.size)
+        b = buf[: hi - lo]
+        b[:, kept] = s_r[lo:hi]
+        b[:, removed] = t[:, lo:hi].T
+        out[kept[lo:hi]] = b
 
-        # Removed -> removed: four anchor crossings.
-        d_rr = dl[:, None] + s_r[np.ix_(left, left)] + dl[None, :]
-        np.minimum(d_rr, dl[:, None] + s_r[np.ix_(left, right)] + dr[None, :], out=d_rr)
-        np.minimum(d_rr, dr[:, None] + s_r[np.ix_(right, left)] + dl[None, :], out=d_rr)
-        np.minimum(d_rr, dr[:, None] + s_r[np.ix_(right, right)] + dr[None, :], out=d_rr)
-
-        # Same-chain pairs may be closer along the chain itself:
-        # ``dist_left`` is the per-vertex chain prefix, so the along-chain
-        # distance is ``|prefix(x) − prefix(y)|`` — one masked minimum over
-        # the whole removed × removed block instead of a per-chain loop.
-        same_chain = ch[:, None] == ch[None, :]
-        direct = np.abs(dl[:, None] - dl[None, :])
-        np.minimum(d_rr, direct, out=d_rr, where=same_chain)
-        out[np.ix_(removed, removed)] = d_rr
+    x, y = _same_chain_pairs(red)
+    flat = out.reshape(-1)
+    at = x * n + y
+    flat[at] = np.minimum(flat[at], np.abs(o1[x] - o1[y]))
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _same_chain_pairs(red: ReducedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs ``(x, y)``, ``x ≠ y``, of interior vertices of one chain.
+
+    Chain ``c`` has ``k = L_c − 1`` interior vertices at
+    ``chain_vertices[chain_indptr[c] + c + 1 :][:k]``; its ``k²`` index
+    pairs come from one ``divmod`` over a flat pair counter.
+    """
+    ind = red.chain_indptr
+    k = np.diff(ind) - 1
+    c = np.flatnonzero(k >= 2)
+    k = k[c]
+    sq = k * k
+    first = np.repeat(ind[c] + c + 1, sq)
+    kk = np.repeat(k, sq)
+    i, j = np.divmod(np.arange(kk.size) - np.repeat(np.cumsum(sq) - sq, sq), kk)
+    off = i != j
+    return red.chain_vertices[first[off] + i[off]], red.chain_vertices[first[off] + j[off]]
 
 
 def ear_apsp_full(

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..partition.metis_lite import Partition, partition_graph
-from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
+from ..sssp.engine import all_pairs
 
 __all__ = ["partition_apsp"]
 
@@ -91,7 +91,7 @@ def partition_apsp(
                 if np.isfinite(w):
                     bus.append(int(b_index[verts[li]]))
                     bvs.append(int(b_index[verts[lj]]))
-                    bws.append(max(w, ZERO_WEIGHT_NUDGE))
+                    bws.append(w)
     bgraph = CSRGraph(boundary.size, bus, bvs, bws)
 
     # Step 4: exact boundary APSP ([12] recurses here when the boundary

@@ -13,11 +13,10 @@ along-the-chain direct route when both endpoints share a chain).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.csgraph as csgraph
 
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
-from ..sssp.engine import adjacency_matrix
+from ..sssp.engine import adjacency_matrix, symmetric_dijkstra
 
 __all__ = ["EarPathReconstructor"]
 
@@ -33,8 +32,8 @@ class EarPathReconstructor:
         simple = self.red.simple_graph()
         if simple.n:
             mat = adjacency_matrix(simple)
-            self.dist_r, self.pred_r = csgraph.dijkstra(
-                mat, directed=False, return_predecessors=True
+            self.dist_r, self.pred_r = symmetric_dijkstra(
+                mat, return_predecessors=True
             )
         else:
             self.dist_r = np.zeros((0, 0))

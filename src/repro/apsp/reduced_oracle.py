@@ -24,7 +24,7 @@ from ..decomposition.block_cut_tree import BlockCutTree
 from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
 from ..obs.provenance import R_CHAIN_CHAIN, R_CHAIN_ENDPOINT, R_SAME_CHAIN, R_TABLE
-from ..sssp.engine import ZERO_WEIGHT_NUDGE, all_pairs
+from ..sssp.engine import all_pairs, strip_nudge, symmetric_adjacency, symmetric_dijkstra
 from .bulk_query import BulkOracleIndex
 
 __all__ = ["ReducedDistanceOracle"]
@@ -150,6 +150,17 @@ class _ComponentStore:
         return int(self.table.size) + 3 * self.red.n_removed
 
 
+def _ap_graph(ap_shared: np.ndarray):
+    """The AP graph: one edge per co-located AP pair, both arcs stored.
+
+    ``ap_shared[i, j]`` is the minimum intra-component distance of APs
+    ``i < j`` (``inf`` when they share no component); the upper triangle
+    gives each pair once.
+    """
+    rows, cols = np.nonzero(np.triu(np.isfinite(ap_shared), k=1))
+    return symmetric_adjacency(len(ap_shared), rows, cols, ap_shared[rows, cols])
+
+
 class ReducedDistanceOracle:
     """Exact APSP oracle over reduced per-component tables."""
 
@@ -170,8 +181,7 @@ class ReducedDistanceOracle:
         # Vectorized classification index; its ``ap_shared`` matrix is the
         # min intra-component distance per co-located AP pair — exactly the
         # edge list the articulation closure is built from, so the closure
-        # construction below is one sparse-Dijkstra over its finite entries
-        # instead of the old per-pair Python loop.
+        # construction below is one sparse-Dijkstra over its finite entries.
         self.ap_ids = bcc.articulation_points
         self.ap_index = {int(v): i for i, v in enumerate(self.ap_ids)}
         self._bulk = BulkOracleIndex(
@@ -182,20 +192,9 @@ class ReducedDistanceOracle:
                 lu, lv, formula_out=formula_out
             ),
         )
-        a = len(self.ap_ids)
-        if a:
-            import scipy.sparse as sp
-            import scipy.sparse.csgraph as csgraph
-
-            rows, cols = np.nonzero(np.triu(np.isfinite(self._bulk.ap_shared), k=1))
-            if rows.size:
-                vals = np.maximum(
-                    self._bulk.ap_shared[rows, cols], ZERO_WEIGHT_NUDGE
-                )
-                mat = sp.coo_matrix((vals, (rows, cols)), shape=(a, a)).tocsr()
-            else:
-                mat = sp.csr_matrix((a, a))
-            self.ap_matrix = np.asarray(csgraph.dijkstra(mat, directed=False))
+        if len(self.ap_ids):
+            mat = _ap_graph(self._bulk.ap_shared)
+            self.ap_matrix = strip_nudge(np.asarray(symmetric_dijkstra(mat)), mat.data)
             np.fill_diagonal(self.ap_matrix, 0.0)
         else:
             self.ap_matrix = np.zeros((0, 0))

@@ -39,7 +39,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from ..graph.csr import CSRGraph
 from ..obs import events as _events
@@ -267,8 +266,8 @@ def _worker_chunk(sources: np.ndarray, want_pred: bool):
         "worker.chunk",
         first_source=int(sources[0]) if len(sources) else None,
     )
-    out = csgraph.dijkstra(
-        _worker_mat, directed=False, indices=sources, return_predecessors=want_pred
+    out = _engine.symmetric_dijkstra(
+        _worker_mat, indices=sources, return_predecessors=want_pred
     )
     if ev:
         _events.emit(
@@ -459,7 +458,7 @@ class ParallelEngine:
         except Exception as exc:
             self._degrade(exc)
             return _engine.multi_source(self.graph, sources, self.chunk_size)
-        return np.vstack(rows)
+        return _engine.strip_nudge(np.vstack(rows), self.graph.edge_w)
 
     def all_pairs(self) -> np.ndarray:
         """Full ``n × n`` matrix (one Dijkstra per vertex, chunk-parallel)."""

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from ..graph.csr import CSRGraph
 from ..sssp.dijkstra import dijkstra_tree
-from ..sssp.engine import ZERO_WEIGHT_NUDGE
+from ..sssp.engine import symmetric_adjacency, symmetric_dijkstra
 from .cycle import Cycle
 from .spanning import SpanningStructure
 
@@ -91,7 +90,7 @@ def min_odd_cycle(
     # Bulk distances from every root's plus copy (compiled path), then an
     # exact predecessor run from the best root only.
     mat = _aux_matrix(aux)
-    dist = csgraph.dijkstra(mat, directed=False, indices=roots)
+    dist = symmetric_dijkstra(mat, indices=roots)
     closing = dist[np.arange(roots.size), roots + n]
     best = int(np.argmin(closing))
     if not np.isfinite(closing[best]):
@@ -109,17 +108,10 @@ def min_odd_cycle(
 
 
 def _aux_matrix(aux: CSRGraph) -> sp.csr_matrix:
-    w = np.where(aux.edge_w == 0.0, ZERO_WEIGHT_NUDGE, aux.edge_w)
-    row = np.concatenate([aux.edge_u, aux.edge_v])
-    col = np.concatenate([aux.edge_v, aux.edge_u])
-    dat = np.concatenate([w, w])
-    # Duplicate (parallel) entries: scipy sums them on CSR conversion,
-    # which would corrupt distances — deduplicate keeping the minimum.
-    order = np.lexsort((dat, col, row))
-    row, col, dat = row[order], col[order], dat[order]
-    keys = row * aux.n + col
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return sp.coo_matrix(
-        (dat[first], (row[first], col[first])), shape=(aux.n, aux.n)
-    ).tocsr()
+    """Symmetric storage of ``aux``, parallel edges at their minimum.
+
+    This is :func:`~repro.sssp.engine.adjacency_matrix` without its
+    weight-contract check, which the cycle-basis code does not apply.
+    """
+    s = aux.simplify()
+    return symmetric_adjacency(aux.n, s.edge_u, s.edge_v, s.edge_w)

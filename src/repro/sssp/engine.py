@@ -24,6 +24,18 @@ dominated per-BCC APSP workloads:
   result is bit-identical for every chunk size.  Chunks are also the work
   units the process-parallel backend (:mod:`repro.hetero.parallel`) fans
   out over workers.
+
+Every compiled Dijkstra in the package goes through
+:func:`symmetric_dijkstra`, which calls scipy with ``directed=True``.  The
+matrices it is given store *both* arcs of every undirected edge (no
+diagonal, no duplicates — :func:`symmetric_adjacency` builds them that
+way), so the directed search already sees each edge from both ends.
+scipy's undirected mode would build ``mat.T.tocsr()`` on every call and
+relax every arc twice — once from the matrix, once from its transpose —
+for nothing: on a symmetric matrix with sorted indices the transpose holds
+the same arcs in the same order, the second relaxation never strictly
+improves a label, and the distances and predecessors are bit-identical.
+``tests/test_symmetric_storage.py`` pins that precondition.
 """
 
 from __future__ import annotations
@@ -59,6 +71,9 @@ __all__ = [
     "CacheInfo",
     "adjacency_cache",
     "adjacency_matrix",
+    "symmetric_adjacency",
+    "symmetric_dijkstra",
+    "strip_nudge",
     "resolve_chunk_size",
     "sssp",
     "multi_source",
@@ -198,11 +213,58 @@ def adjacency_matrix(g: CSRGraph) -> sp.csr_matrix:
             f"non-zero weights must be >= {MIN_POSITIVE_WEIGHT} "
             "(the zero-weight nudge could otherwise mis-rank paths)"
         )
-    w = np.where(s.edge_w == 0.0, ZERO_WEIGHT_NUDGE, s.edge_w)
-    row = np.concatenate([s.edge_u, s.edge_v])
-    col = np.concatenate([s.edge_v, s.edge_u])
+    return symmetric_adjacency(g.n, s.edge_u, s.edge_v, s.edge_w)
+
+
+def symmetric_adjacency(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> sp.csr_matrix:
+    """``n × n`` scipy CSR holding both arcs of every edge ``(u[i], v[i])``.
+
+    Callers pass each unordered pair once and no self-loops, so the matrix
+    is symmetric with an empty diagonal and no duplicate entries (COO
+    duplicates would *sum* on conversion).  Zero weights are stored as
+    :data:`ZERO_WEIGHT_NUDGE`; :func:`strip_nudge` removes it from the
+    distances.  This is the storage :func:`symmetric_dijkstra` requires.
+    """
+    w = np.where(np.asarray(w) == 0.0, ZERO_WEIGHT_NUDGE, w)
+    row = np.concatenate([u, v])
+    col = np.concatenate([v, u])
     dat = np.concatenate([w, w])
-    return sp.coo_matrix((dat, (row, col)), shape=(g.n, g.n)).tocsr()
+    return sp.coo_matrix((dat, (row, col)), shape=(n, n)).tocsr()
+
+
+def symmetric_dijkstra(
+    mat: sp.csr_matrix,
+    indices: np.ndarray | None = None,
+    return_predecessors: bool = False,
+):
+    """Compiled Dijkstra on a matrix that stores both arcs of every edge.
+
+    The one call convention for ``scipy.sparse.csgraph.dijkstra`` in the
+    package: ``directed=True`` on symmetric storage (see the module
+    docstring for why this equals the undirected search bit for bit).
+    Same arguments and return values as scipy's.
+    """
+    return csgraph.dijkstra(
+        mat, directed=True, indices=indices, return_predecessors=return_predecessors
+    )
+
+
+def strip_nudge(dist: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Zero, in place, every distance that is a sum of zero-weight nudges.
+
+    Under the :data:`MIN_POSITIVE_WEIGHT` contract any path holding a real
+    edge weighs at least 1e-12, so a distance below it crossed only
+    zero-weight edges and is exactly 0.  ``weights`` are the edge weights
+    the search ran on, raw (a graph's ``edge_w``) or as stored (a matrix's
+    ``data``); under the contract the only ones below 1e-12 are zeros or
+    the nudge that stands for them.  Without such a weight there is no
+    nudge to strip, and the pass over ``dist`` is skipped.
+    """
+    if np.any(np.asarray(weights) < MIN_POSITIVE_WEIGHT):
+        dist[dist < MIN_POSITIVE_WEIGHT] = 0.0
+    return dist
 
 
 def sssp(g: CSRGraph, source: int, cache: bool = True) -> np.ndarray:
@@ -222,7 +284,8 @@ def multi_source(
     (default: ``REPRO_SSSP_CHUNK`` / :data:`DEFAULT_CHUNK_SIZE`).  Every
     source's search is independent, so the output is bit-identical for any
     chunking.  ``cache=False`` bypasses the adjacency cache (used by the
-    before/after benchmarks).
+    before/after benchmarks).  Paths over zero-weight edges only read
+    exactly 0 (:func:`strip_nudge`).
     """
     sources = np.asarray(sources, dtype=np.int64)
     if g.n == 0:
@@ -241,10 +304,10 @@ def multi_source(
         if ev:
             _events.emit("chunk.start", sources=k)
         with _span("sssp.chunk", cat="sssp", sources=k):
-            out = csgraph.dijkstra(mat, directed=False, indices=sources)
+            out = np.asarray(symmetric_dijkstra(mat, indices=sources), dtype=np.float64)
         if ev:
             _events.emit("chunk.finish", sources=k)
-        return np.asarray(out, dtype=np.float64)
+        return strip_nudge(out, g.edge_w)
     out = np.empty((k, g.n), dtype=np.float64)
     for lo in range(0, k, chunk):
         hi = min(lo + chunk, k)
@@ -252,12 +315,10 @@ def multi_source(
         if ev:
             _events.emit("chunk.start", sources=hi - lo)
         with _span("sssp.chunk", cat="sssp", sources=hi - lo):
-            out[lo:hi] = csgraph.dijkstra(
-                mat, directed=False, indices=sources[lo:hi]
-            )
+            out[lo:hi] = symmetric_dijkstra(mat, indices=sources[lo:hi])
         if ev:
             _events.emit("chunk.finish", sources=hi - lo)
-    return out
+    return strip_nudge(out, g.edge_w)
 
 
 def all_pairs(
@@ -282,7 +343,9 @@ def spt_forest(
     Returns ``(dist, parent)`` arrays of shape ``(len(sources), n)``;
     ``parent[i, v]`` is the predecessor of ``v`` in the tree rooted at
     ``sources[i]`` (``-9999`` for roots/unreachable, scipy's sentinel).
-    Chunked exactly like :func:`multi_source`.
+    Chunked exactly like :func:`multi_source`.  Unlike there, ``dist``
+    keeps the zero-weight nudge: the Mehlhorn–Michail setup orders its
+    candidates by these raw distances.
     """
     sources = np.asarray(sources, dtype=np.int64)
     mat = _GLOBAL_CACHE.get(g) if cache else adjacency_matrix(g)
@@ -295,8 +358,8 @@ def spt_forest(
         if ev:
             _events.emit("chunk.start", sources=k)
         with _span("sssp.chunk", cat="sssp", sources=k, predecessors=True):
-            dist, pred = csgraph.dijkstra(
-                mat, directed=False, indices=sources, return_predecessors=True
+            dist, pred = symmetric_dijkstra(
+                mat, indices=sources, return_predecessors=True
             )
         if ev:
             _events.emit("chunk.finish", sources=k)
@@ -309,8 +372,8 @@ def spt_forest(
         if ev:
             _events.emit("chunk.start", sources=hi - lo)
         with _span("sssp.chunk", cat="sssp", sources=hi - lo, predecessors=True):
-            d, p = csgraph.dijkstra(
-                mat, directed=False, indices=sources[lo:hi], return_predecessors=True
+            d, p = symmetric_dijkstra(
+                mat, indices=sources[lo:hi], return_predecessors=True
             )
         if ev:
             _events.emit("chunk.finish", sources=hi - lo)
