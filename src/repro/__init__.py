@@ -9,8 +9,9 @@ Public API highlights
 - :class:`repro.graph.CSRGraph` — the CSR graph substrate.
 - :func:`repro.decomposition.reduce_graph` — degree-2 chain contraction.
 - :func:`repro.apsp.ear_apsp_full` — the paper's Algorithm 1 (+ general graphs).
-- :class:`repro.apsp.DistanceOracle` / :class:`repro.apsp.ReducedDistanceOracle`
-  — the O(a² + Σ nᵢ²) distance stores.
+- :class:`repro.apsp.ReducedDistanceOracle` / :class:`repro.apsp.DistanceOracle`
+  — the exact distance oracle over ear-reduced ``S^r`` tables, or over full
+  per-component tables (the O(a² + Σ nᵢ²) store).
 - :func:`repro.mcb.minimum_cycle_basis` — ear-reduced MCB (Section 3).
 - :mod:`repro.hetero` — work-queue based heterogeneous (CPU+simulated GPU)
   execution platform.

@@ -10,7 +10,6 @@ from .ear_apsp import (
     EarAPSPReport,
     ear_apsp_full,
     extend_reduced_distances,
-    solve_component,
 )
 from .oracle import DistanceOracle, MemoryModel, memory_model
 from .partition_apsp import partition_apsp
@@ -33,7 +32,6 @@ __all__ = [
     "EarAPSPReport",
     "ear_apsp_full",
     "extend_reduced_distances",
-    "solve_component",
     "DistanceOracle",
     "MemoryModel",
     "memory_model",

@@ -1,40 +1,41 @@
 """Vectorized bulk point-to-point queries over block-cut decompositions.
 
-Both distance oracles (:class:`repro.apsp.DistanceOracle` and
-:class:`repro.apsp.ReducedDistanceOracle`) answer a single ``d(u, v)``
-through the same three-way classification: *same component* (table lookup
-or Section 2.1.3 chain formulas), *cross component* (boundary articulation
-points bracketing every path, Section 2.2), *unreachable*.  The scalar
-``query`` walks that decision tree one pair at a time — dict lookups,
-Python ``set`` intersections, one LCA per pair.
+The distance oracle (:class:`repro.apsp.ReducedDistanceOracle`, and
+:class:`repro.apsp.DistanceOracle`, which differs only in its component
+store) answers ``d(u, v)`` through a three-way classification: *same
+component* (table lookup or Section 2.1.3 chain formulas), *cross
+component* (boundary articulation points bracketing every path,
+Section 2.2), *unreachable*.
 
-:class:`BulkOracleIndex` runs the whole decision tree as array passes:
+:class:`BulkOracleIndex` holds that decision tree as arrays over the
+vertices — membership, AP flags, home component and local index, per-block
+AP positions, the shared-block AP minima and the AP closure — and runs it
+as array passes:
 
 1. classify **all** pairs at once (boolean masks over the pair array);
 2. resolve each class with batched gathers — same-component pairs are
-   grouped per component and handed to a vectorized per-component distance
-   kernel, cross-component pairs get their bracketing APs from the
+   grouped per component and handed to that component store's vectorized
+   ``dist_many``, cross-component pairs get their bracketing APs from the
    vectorized binary-lifting LCA of
    :meth:`repro.decomposition.block_cut_tree.BlockCutTree.boundary_aps_many`
    and finish with one fused ``d(u,a1) + A[a1,a2] + d(a2,v)`` pass.
 
-The index is oracle-agnostic: it only needs the component vertex lists,
-the block-cut tree, the articulation closure ``A``, and a callable
-``dist_many(cid, lu, lv)`` that answers component-local distances for
-index arrays — the full-table oracle passes a table gather, the reduced
-oracle passes the vectorized chain-formula kernel.  Every resolution is
-bit-identical to the scalar ``query`` (same lookups, same minimum sets,
-same association order), which the qa suite asserts across the
-adversarial corpus.
+The oracle's scalar ``query`` walks the same arrays for one pair with the
+stores' scalar ``dist``; both paths take the same lookups, the same
+minimum sets and the same association order, so they are bit-identical,
+which the qa suite asserts across the adversarial corpus.  Vertex ids
+outside ``[0, n)`` raise :class:`~repro.graph.csr.GraphError` on every
+path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..decomposition.block_cut_tree import BlockCutTree
+from ..graph.csr import GraphError
 from ..obs import metrics as _metrics
 from ..obs import provenance as _prov
 from ..obs.provenance import BatchProvenance
@@ -42,18 +43,17 @@ from ..obs.trace import span as _span
 
 __all__ = ["BulkOracleIndex"]
 
-#: Component-local distance kernel.  The optional ``formula_out`` int8
-#: array (same length as ``lu``) receives per-pair resolver codes from
-#: :mod:`repro.obs.provenance` when provenance capture is active; passing
-#: ``None`` (the default) must leave the arithmetic untouched.
-DistManyFn = Callable[..., np.ndarray]
-
 _C_BATCHES = _metrics.counter("bulk_query.batches")
 _C_PAIRS = _metrics.counter("bulk_query.pairs")
 _C_SAME = _metrics.counter("bulk_query.same_component_pairs")
 _C_CROSS = _metrics.counter("bulk_query.cross_component_pairs")
 _C_UNREACH = _metrics.counter("bulk_query.unreachable_pairs")
 _C_GROUPS = _metrics.counter("bulk_query.component_groups")
+
+
+def vertex_error(v, n: int) -> GraphError:
+    """The error for a vertex id outside ``[0, n)``."""
+    return GraphError(f"vertex id {v} is outside [0, {n})")
 
 
 class BulkOracleIndex:
@@ -67,14 +67,16 @@ class BulkOracleIndex:
         Its :class:`~repro.decomposition.block_cut_tree.BlockCutTree`.
     component_vertices:
         ``component_vertices[c]`` lists the global vertex ids of component
-        ``c`` — local index *is* position, matching both oracles' tables.
-    dist_many:
-        ``dist_many(cid, lu, lv) -> distances`` for arrays of
-        component-local indices; must be bit-identical to the oracle's
-        scalar per-component distance.
+        ``c`` — local index *is* position, matching the stores.
+    stores:
+        ``stores[c].dist_many(lu, lv, formula_out=None)`` answers
+        component-local distances for index arrays, bit-identical to the
+        store's scalar ``dist``.  The optional int8 ``formula_out`` array
+        receives per-pair resolver codes from :mod:`repro.obs.provenance`;
+        it never changes the arithmetic.
     ap_matrix:
         The ``a × a`` articulation closure.  May be attached after
-        construction (the reduced oracle derives it *from* this index's
+        construction (the oracle derives it *from* this index's
         :attr:`ap_shared`).
     """
 
@@ -83,12 +85,12 @@ class BulkOracleIndex:
         n: int,
         tree: BlockCutTree,
         component_vertices: Sequence[np.ndarray],
-        dist_many: DistManyFn,
+        stores: Sequence,
         ap_matrix: np.ndarray | None = None,
     ) -> None:
         self.n = int(n)
         self.tree = tree
-        self._dist_many = dist_many
+        self._stores = stores
         self.ap_matrix = ap_matrix
         a = len(tree.ap_ids)
         n_blocks = len(component_vertices)
@@ -125,9 +127,9 @@ class BulkOracleIndex:
         self.member = self.is_ap | (self.comp_of >= 0)
 
         # Minimum intra-component distance for every AP pair sharing a
-        # block (``inf`` elsewhere) — the vectorized form of the scalar
-        # "min over shared components" branch, and the edge list the
-        # reduced oracle's articulation closure is built from.
+        # block (``inf`` elsewhere): answers both-AP pairs that share a
+        # block, and is the edge list the articulation closure is built
+        # from.
         self.ap_shared = np.full((a, a), np.inf, dtype=np.float64)
         for cid in range(n_blocks):
             here = np.nonzero(self.ap_local[cid] >= 0)[0]
@@ -139,8 +141,9 @@ class BulkOracleIndex:
             # Both orientations are gathered: per-source Dijkstra tables
             # can differ in the last ulp between d(i,j) and d(j,i), and
             # the scalar query always reads the (u, v) orientation.
-            np.minimum.at(self.ap_shared, (gi, gj), self._dist_many(cid, li, lj))
-            np.minimum.at(self.ap_shared, (gj, gi), self._dist_many(cid, lj, li))
+            store = self._stores[cid]
+            np.minimum.at(self.ap_shared, (gi, gj), store.dist_many(li, lj))
+            np.minimum.at(self.ap_shared, (gj, gi), store.dist_many(lj, li))
         np.fill_diagonal(self.ap_shared, 0.0)
 
     # ------------------------------------------------------------------ #
@@ -152,7 +155,7 @@ class BulkOracleIndex:
         lv: np.ndarray,
         formula_out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``dist_many`` over mixed-component pairs, one batch per component."""
+        """Store ``dist_many`` over mixed-component pairs, one batch per component."""
         out = np.empty(comp.size, dtype=np.float64)
         order = np.argsort(comp, kind="stable")
         sorted_comp = comp[order]
@@ -162,12 +165,12 @@ class BulkOracleIndex:
         _C_GROUPS.inc(int(starts.size))
         for s, e in zip(starts, ends):
             idx = order[s:e]
-            cid = int(comp[idx[0]])
+            store = self._stores[int(comp[idx[0]])]
             if formula_out is None:
-                out[idx] = self._dist_many(cid, lu[idx], lv[idx])
+                out[idx] = store.dist_many(lu[idx], lv[idx])
             else:
                 f = np.zeros(idx.size, dtype=np.int8)
-                out[idx] = self._dist_many(cid, lu[idx], lv[idx], formula_out=f)
+                out[idx] = store.dist_many(lu[idx], lv[idx], formula_out=f)
                 formula_out[idx] = f
         return out
 
@@ -255,8 +258,7 @@ class BulkOracleIndex:
             if cross.any():
                 ci = np.nonzero(cross)[0]
                 a1, a2, same_block, disc = self.tree.boundary_aps_many(u[ci], v[ci])
-                # Leftover same-block / disconnected pairs answer ``inf``,
-                # matching the scalar query's fallthrough.
+                # Leftover same-block / disconnected pairs answer ``inf``.
                 ok = ~(same_block | disc)
                 sel = ci[ok]
                 if sel.size:
@@ -289,6 +291,9 @@ class BulkOracleIndex:
             raise ValueError(f"expected a (k, 2) pair array, got {pairs.shape}")
         if pairs.shape[0] and self.ap_matrix is None:
             raise ValueError("BulkOracleIndex.ap_matrix is not attached yet")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            bad = pairs[(pairs < 0) | (pairs >= self.n)]
+            raise vertex_error(bad[0], self.n)
         return pairs
 
     def query_many(self, pairs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ Key facts the composition relies on (both hold for any graph):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from ..decomposition.biconnected import BCCDecomposition, biconnected_components
 from ..graph.csr import CSRGraph
 from ..sssp.engine import strip_nudge, symmetric_adjacency, symmetric_dijkstra
-from .ear_apsp import solve_component
+from .ear_apsp import ear_apsp_full
 
 Solver = Callable[[CSRGraph], np.ndarray]
 
@@ -61,11 +61,6 @@ class ComponentTables:
     ap_matrix: np.ndarray
     solve_seconds: float = 0.0
     compose_seconds: float = 0.0
-    vertex_local: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-    def component_of(self, v: int) -> list[tuple[int, int]]:
-        """``(component id, local index)`` memberships of vertex ``v``."""
-        return self.vertex_local.get(int(v), [])
 
     def table_bytes(self, dtype_bytes: int = 4) -> int:
         """Memory model of Section 2.3: ``a² + Σ nᵢ²`` entries.
@@ -82,33 +77,18 @@ def build_component_tables(
     g: CSRGraph,
     solver: Solver | None = None,
     bcc: BCCDecomposition | None = None,
-    engine: str = "scipy",
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> ComponentTables:
     """Solve every biconnected component and close distances over the APs.
 
     ``solver`` maps a component subgraph to its exact distance matrix; it
-    defaults to the ear-reduced Algorithm 1 (:func:`solve_component`) with
-    the given ``engine``/``chunk_size``/``workers`` forwarded to its
-    Phase-II bulk-SSSP dispatch.  An explicit ``solver`` wins over those
-    knobs.
+    defaults to the ear-reduced Algorithm 1 (:func:`ear_apsp_full`).
     """
     if solver is None:
-        def solver(sub: CSRGraph) -> np.ndarray:
-            return solve_component(
-                sub, engine=engine, chunk_size=chunk_size, workers=workers
-            )
+        solver = ear_apsp_full
     if bcc is None:
         bcc = biconnected_components(g)
     t0 = time.perf_counter()
-    tables: list[np.ndarray] = []
-    vertex_local: dict[int, list[tuple[int, int]]] = {}
-    for cid in range(bcc.count):
-        sub, vmap = bcc.component_subgraph(g, cid)
-        tables.append(solver(sub))
-        for local, v in enumerate(vmap):
-            vertex_local.setdefault(int(v), []).append((cid, local))
+    tables = [solver(bcc.component_subgraph(g, cid)[0]) for cid in range(bcc.count)]
     t1 = time.perf_counter()
 
     ap_ids = bcc.articulation_points
@@ -131,7 +111,6 @@ def build_component_tables(
         ap_matrix=ap_matrix,
         solve_seconds=t1 - t0,
         compose_seconds=t2 - t1,
-        vertex_local=vertex_local,
     )
 
 

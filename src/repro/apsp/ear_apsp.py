@@ -16,8 +16,10 @@ Three phases (Section 2.1):
 valid for any connected or disconnected input (the anchor-exit argument
 only needs chain interiors to have degree 2).  The per-biconnected-
 component organisation of Section 2.2 — which is what gives the
-``O(a² + Σ nᵢ²)`` memory — lives in :mod:`repro.apsp.composition` and
-:mod:`repro.apsp.oracle` and reuses :func:`solve_component` below.
+``O(a² + Σ nᵢ²)`` memory — lives in :mod:`repro.apsp.composition`, which
+solves each component with :func:`ear_apsp_full`, and in the oracles
+(:mod:`repro.apsp.reduced_oracle`), which keep each component's ``S^r``
+or lift it with :func:`extend_reduced_distances`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ..graph.csr import CSRGraph
 from ..sssp.engine import all_pairs
 from .dijkstra_apsp import dijkstra_apsp
 
-__all__ = ["EarAPSPReport", "extend_reduced_distances", "ear_apsp_full", "solve_component"]
+__all__ = ["EarAPSPReport", "extend_reduced_distances", "ear_apsp_full"]
 
 
 @dataclass
@@ -180,17 +182,3 @@ def ear_apsp_full(
         report.t_postprocess += t3 - t2
     return out
 
-
-def solve_component(
-    sub: CSRGraph,
-    engine: str = "scipy",
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Per-biconnected-component solver used by the composed pipeline.
-
-    This is exactly :func:`ear_apsp_full` — named separately so that the
-    composition layer (:mod:`repro.apsp.composition`) can swap in the
-    Banerjee-style undecomposed solver for the baseline comparison.
-    """
-    return ear_apsp_full(sub, engine=engine, chunk_size=chunk_size, workers=workers)

@@ -10,6 +10,11 @@ queries exactly through the block-cut tree:
 where ``a1``/``a2`` are the articulation points bracketing every ``u–v``
 path (Section 2.2, Stage 2).  Same-component queries are table lookups.
 
+:class:`DistanceOracle` is :class:`~repro.apsp.ReducedDistanceOracle`
+with a different component store: each component's ``S^r`` is lifted to
+its full table once, at build time, instead of evaluating the chain
+closed forms per query.
+
 :func:`memory_model` reproduces the two memory columns of Table 1.
 """
 
@@ -20,161 +25,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..decomposition.biconnected import biconnected_components
-from ..decomposition.block_cut_tree import BlockCutTree
+from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
-from .composition import Solver, build_component_tables
+from ..obs.provenance import R_TABLE
+from .ear_apsp import extend_reduced_distances
+from .reduced_oracle import ReducedDistanceOracle
 
-__all__ = ["DistanceOracle", "memory_model"]
+__all__ = ["DistanceOracle", "MemoryModel", "memory_model"]
 
 
-class DistanceOracle:
+class _TableStore:
+    """The full distance table of one biconnected component."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, red: ReducedGraph, s_r: np.ndarray):
+        self.table = extend_reduced_distances(red, s_r)
+
+    def dist(self, lu: int, lv: int) -> float:
+        return float(self.table[lu, lv])
+
+    def dist_many(
+        self,
+        lu: np.ndarray,
+        lv: np.ndarray,
+        formula_out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        if formula_out is not None:
+            formula_out[:] = R_TABLE
+        return self.table[lu, lv]
+
+    def entries(self) -> int:
+        return int(self.table.size)
+
+
+class DistanceOracle(ReducedDistanceOracle):
     """Exact all-pairs distance oracle with the paper's memory footprint."""
 
-    def __init__(
-        self,
-        g: CSRGraph,
-        solver: Solver | None = None,
-        engine: str = "scipy",
-        chunk_size: int | None = None,
-        workers: int | None = None,
-    ) -> None:
-        self.graph = g
-        bcc = biconnected_components(g)
-        self.tables = build_component_tables(
-            g,
-            solver=solver,
-            bcc=bcc,
-            engine=engine,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
-        self.tree = BlockCutTree(g, bcc)
-        # Local index of each vertex inside each of its components.
-        self._local = self.tables.vertex_local
-        self._bulk = None  # built lazily on the first query_many
-
-    # ------------------------------------------------------------------ #
-
-    def _local_index(self, cid: int, v: int) -> int:
-        for c, li in self._local[int(v)]:
-            if c == cid:
-                return li
-        raise KeyError(f"vertex {v} not in component {cid}")
-
-    def query(self, u: int, v: int) -> float:
-        """Exact shortest-path distance between ``u`` and ``v``.
-
-        ``inf`` when disconnected.  O(1) table lookups plus an O(log n)
-        LCA for cross-component pairs.
-        """
-        if u == v:
-            return 0.0
-        memb_u = self._local.get(int(u), [])
-        memb_v = self._local.get(int(v), [])
-        if not memb_u or not memb_v:
-            return float("inf")  # isolated vertex
-        # Same component: direct lookup (min over shared components — an
-        # AP pair can share several).
-        shared = {c for c, _ in memb_u} & {c for c, _ in memb_v}
-        if shared:
-            return min(
-                float(self.tables.tables[c][self._local_index(c, u), self._local_index(c, v)])
-                for c in shared
-            )
-        try:
-            bracket = self.tree.boundary_aps(u, v)
-        except ValueError:
-            return float("inf")
-        if bracket is None:  # same block found via the tree — handled above
-            return float("inf")
-        a1, a2 = bracket
-        # d(u, a1) within u's block on the path side; a1 is in *some*
-        # shared component with u — min over u's components containing a1.
-        d_u = self._vertex_to_ap(memb_u, u, a1)
-        d_v = self._vertex_to_ap(memb_v, v, a2)
-        mid = float(
-            self.tables.ap_matrix[
-                self.tables.ap_index[a1], self.tables.ap_index[a2]
-            ]
-        )
-        return d_u + mid + d_v
-
-    def _vertex_to_ap(self, memberships: list[tuple[int, int]], v: int, ap: int) -> float:
-        best = float("inf")
-        for cid, li in memberships:
-            for c2, la in self._local.get(int(ap), []):
-                if c2 == cid:
-                    best = min(best, float(self.tables.tables[cid][li, la]))
-        return best
-
-    def _bulk_index(self):
-        if self._bulk is None:
-            from .bulk_query import BulkOracleIndex
-
-            tables = self.tables.tables
-
-            def dist_many(
-                cid: int,
-                lu: np.ndarray,
-                lv: np.ndarray,
-                formula_out: np.ndarray | None = None,
-            ) -> np.ndarray:
-                if formula_out is not None:
-                    from ..obs.provenance import R_TABLE
-
-                    formula_out[:] = R_TABLE
-                return np.asarray(tables[cid][lu, lv], dtype=np.float64)
-
-            self._bulk = BulkOracleIndex(
-                self.graph.n,
-                self.tree,
-                self.tables.bcc.component_vertices,
-                dist_many,
-                ap_matrix=np.asarray(self.tables.ap_matrix, dtype=np.float64),
-            )
-        return self._bulk
-
-    def query_many(self, pairs: np.ndarray) -> np.ndarray:
-        """Bulk ``(k, 2)`` pair queries as array passes.
-
-        One vectorized classification pass plus batched per-component
-        gathers (:mod:`repro.apsp.bulk_query`) — bit-identical to the
-        scalar :meth:`query` loop.
-        """
-        return self._bulk_index().query_many(pairs)
-
-    def explain_many(self, pairs: np.ndarray):
-        """Bulk queries with full per-pair provenance attached.
-
-        Returns a :class:`repro.obs.provenance.BatchProvenance` whose
-        ``.distances`` are bit-identical to :meth:`query_many`.
-        """
-        return self._bulk_index().explain_many(pairs)
-
-    def explain(self, u: int, v: int):
-        """Explain one query: a :class:`~repro.obs.provenance.QueryProvenance`."""
-        pairs = np.array([[u, v]], dtype=np.int64)
-        return self.explain_many(pairs).record(0)
-
-    def query_many_scalar(self, pairs: np.ndarray) -> np.ndarray:
-        """The per-pair scalar reference loop (kept for differential tests
-        and the bulk-query smoke benchmark)."""
-        pairs = np.asarray(pairs)
-        return np.fromiter(
-            (self.query(int(a), int(b)) for a, b in pairs),
-            dtype=np.float64,
-            count=len(pairs),
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def memory_bytes(self, dtype_bytes: int = 4) -> int:
-        """Bytes of distance storage held (the "Our's Memory" column)."""
-        return self.tables.table_bytes(dtype_bytes)
-
-    def full_matrix_bytes(self, dtype_bytes: int = 4) -> int:
-        """Bytes a dense ``n × n`` table would need ("Max Memory")."""
-        return self.graph.n * self.graph.n * dtype_bytes
+    store = _TableStore
 
 
 @dataclass(frozen=True)
@@ -193,26 +81,25 @@ def memory_model(g: CSRGraph, dtype_bytes: int = 4, reduced: bool = False) -> Me
     """Compute the ``a² + Σ nᵢ²`` vs ``n²`` storage model without solving.
 
     Only the decompositions run (cheap); no distance tables are built, so
-    this scales to the full-size Table 1 stand-ins.
+    this scales to the full-size Table 1 stand-ins.  The result matches
+    ``DistanceOracle(g).memory_bytes()`` byte for byte.
 
     With ``reduced=True`` each component counts only its ear-*reduced*
     vertex count (plus three scalars per removed vertex for the
-    ``left/right/offset`` anchor arrays): the footprint of an oracle that
-    stores ``S^r`` and answers removed-vertex queries through the
-    Section 2.1.3 formulas on the fly.  The paper's Table 1 savings for
-    single-BCC, chain-heavy graphs (c-50) are only explainable with this
-    accounting — the plain per-component formula gives no saving when the
-    graph is one biconnected component.
+    ``left/right/offset`` anchor arrays): the footprint of
+    :class:`~repro.apsp.ReducedDistanceOracle`, which stores ``S^r`` and
+    answers removed-vertex queries through the Section 2.1.3 formulas on
+    the fly.  The paper's Table 1 savings for single-BCC, chain-heavy
+    graphs (c-50) are only explainable with this accounting — the plain
+    per-component formula gives no saving when the graph is one
+    biconnected component.
     """
-    from .composition import build_component_tables  # noqa: F401 (doc xref)
-    from ..decomposition.reduce import reduce_graph
-
     bcc = biconnected_components(g)
     entries = 0
     for cid, verts in enumerate(bcc.component_vertices):
         if reduced:
             sub, _ = bcc.component_subgraph(g, cid)
-            red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
+            red = reduce_graph(sub, keep=bcc.component_keep_mask(sub, cid))
             entries += int(red.graph.n) ** 2 + 3 * red.n_removed
         else:
             entries += int(verts.size) ** 2

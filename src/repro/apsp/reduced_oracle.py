@@ -1,18 +1,29 @@
-"""Reduced-table distance oracle: ``S^r`` storage + on-the-fly formulas.
+"""Exact distance oracle over per-component stores (Sections 2.2–2.3).
 
-:class:`repro.apsp.DistanceOracle` stores full per-component tables
-(every vertex of each BCC).  This variant goes one step further down the
-paper's own path: it stores only the **reduced** per-component tables
-(vertices of degree ≥ 3 plus articulation points) together with the
-three scalars per removed vertex (left/right anchors and chain offsets),
-and evaluates the Section 2.1.3 closed forms at query time.
+The oracle answers ``d(u, v) = d_i(u, a1) + A[a1, a2] + d_j(a2, v)``
+through the block-cut tree: same-component pairs are answered by the
+component's store, cross-component pairs through the articulation points
+``a1``/``a2`` bracketing every ``u–v`` path and the AP closure ``A``.
 
-Storage is ``O(a² + Σ (nᵢʳ)² + n)`` — the accounting that reproduces the
-paper's Table-1 savings even for single-BCC, chain-heavy graphs (c-50:
-52% of vertices removed → tables shrink ~4×).
+Every component is ear-reduced (its articulation points kept) and solved
+on ``G^r`` once, giving ``S^r``.  What the component then *stores* is the
+only thing that differs between the two oracle classes:
 
-Queries remain exact; the test-suite checks every pair against the full
-matrix.
+* :class:`ReducedDistanceOracle` keeps ``S^r`` plus three scalars per
+  removed vertex (left/right anchors and chain offsets) and evaluates the
+  Section 2.1.3 closed forms at query time — ``O(a² + Σ (nᵢʳ)² + n)``
+  storage, the accounting that reproduces the paper's Table-1 savings even
+  for single-BCC, chain-heavy graphs (c-50: 52% of vertices removed →
+  tables shrink ~4×);
+* :class:`repro.apsp.DistanceOracle` keeps the full table lifted from
+  ``S^r`` — ``O(a² + Σ nᵢ²)``, the paper's stated §2.3 footprint.
+
+Both run one query path.  :class:`~repro.apsp.bulk_query.BulkOracleIndex`
+holds the classification arrays; ``query_many`` and ``explain_many``
+resolve whole pair batches over them, and the scalar ``query`` walks the
+same arrays for one pair in plain Python (a one-pair ``query_many`` costs
+over twenty scalar walks in NumPy call overhead).  The three are
+bit-identical, which the qa suite asserts on every pair of the corpus.
 """
 
 from __future__ import annotations
@@ -25,21 +36,19 @@ from ..decomposition.reduce import ReducedGraph, reduce_graph
 from ..graph.csr import CSRGraph
 from ..obs.provenance import R_CHAIN_CHAIN, R_CHAIN_ENDPOINT, R_SAME_CHAIN, R_TABLE
 from ..sssp.engine import all_pairs, strip_nudge, symmetric_adjacency, symmetric_dijkstra
-from .bulk_query import BulkOracleIndex
+from .bulk_query import BulkOracleIndex, vertex_error
 
 __all__ = ["ReducedDistanceOracle"]
 
 
-class _ComponentStore:
-    """Reduced table + anchor data for one biconnected component."""
+class _ReducedStore:
+    """Reduced table ``S^r`` + anchor data for one biconnected component."""
 
-    __slots__ = ("red", "table", "vmap", "local")
+    __slots__ = ("red", "table")
 
-    def __init__(self, red: ReducedGraph, table: np.ndarray, vmap: np.ndarray):
+    def __init__(self, red: ReducedGraph, s_r: np.ndarray):
         self.red = red
-        self.table = table          # distances over red.graph vertices
-        self.vmap = vmap            # component-local -> global vertex ids
-        self.local = {int(v): i for i, v in enumerate(vmap)}
+        self.table = s_r            # distances over red.graph vertices
 
     def dist(self, lu: int, lv: int) -> float:
         """Exact distance between two component-local vertices."""
@@ -162,37 +171,32 @@ def _ap_graph(ap_shared: np.ndarray):
 
 
 class ReducedDistanceOracle:
-    """Exact APSP oracle over reduced per-component tables."""
+    """Exact APSP oracle over reduced per-component tables.
 
-    def __init__(self, g: CSRGraph, chunk_size: int | None = None) -> None:
+    Subclasses change only :attr:`store`, the class that turns one
+    component's ``(red, S^r)`` into what the oracle keeps for it; it must
+    provide ``dist(lu, lv)``, ``dist_many(lu, lv, formula_out=None)``
+    (bit-identical to each other) and ``entries()``.
+    """
+
+    store = _ReducedStore
+
+    def __init__(self, g: CSRGraph) -> None:
         self.graph = g
         bcc = biconnected_components(g)
-        self.tree = BlockCutTree(g, bcc)
         self.bcc = bcc
-        self.stores: list[_ComponentStore] = []
-        self._memberships: dict[int, list[int]] = {}
+        self.tree = BlockCutTree(g, bcc)
+        self.stores = []
         for cid in range(bcc.count):
-            sub, vmap = bcc.component_subgraph(g, cid)
-            red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
-            table = all_pairs(red.simple_graph(), chunk_size=chunk_size)
-            self.stores.append(_ComponentStore(red, table, vmap))
-            for v in vmap:
-                self._memberships.setdefault(int(v), []).append(cid)
-        # Vectorized classification index; its ``ap_shared`` matrix is the
-        # min intra-component distance per co-located AP pair — exactly the
-        # edge list the articulation closure is built from, so the closure
-        # construction below is one sparse-Dijkstra over its finite entries.
-        self.ap_ids = bcc.articulation_points
-        self.ap_index = {int(v): i for i, v in enumerate(self.ap_ids)}
-        self._bulk = BulkOracleIndex(
-            g.n,
-            self.tree,
-            bcc.component_vertices,
-            lambda cid, lu, lv, formula_out=None: self.stores[cid].dist_many(
-                lu, lv, formula_out=formula_out
-            ),
-        )
-        if len(self.ap_ids):
+            sub, _ = bcc.component_subgraph(g, cid)
+            red = reduce_graph(sub, keep=bcc.component_keep_mask(sub, cid))
+            self.stores.append(self.store(red, all_pairs(red.simple_graph())))
+        # The index's ``ap_shared`` matrix is the min intra-component
+        # distance per co-located AP pair — exactly the edge list the
+        # articulation closure is built from, so the closure is one
+        # sparse Dijkstra over its finite entries.
+        self._bulk = BulkOracleIndex(g.n, self.tree, bcc.component_vertices, self.stores)
+        if len(self._bulk.ap_ids):
             mat = _ap_graph(self._bulk.ap_shared)
             self.ap_matrix = strip_nudge(np.asarray(symmetric_dijkstra(mat)), mat.data)
             np.fill_diagonal(self.ap_matrix, 0.0)
@@ -202,46 +206,62 @@ class ReducedDistanceOracle:
 
     # ------------------------------------------------------------------ #
 
-    def _intra(self, cid: int, u: int, v: int) -> float:
-        store = self.stores[cid]
-        return store.dist(store.local[int(u)], store.local[int(v)])
-
-    def _to_ap(self, memberships: list[int], v: int, ap: int) -> float:
-        best = float("inf")
-        for cid in memberships:
-            store = self.stores[cid]
-            la = store.local.get(int(ap))
-            if la is not None:
-                best = min(best, store.dist(store.local[int(v)], la))
-        return best
-
     def query(self, u: int, v: int) -> float:
-        """Exact shortest-path distance (``inf`` when disconnected)."""
+        """Exact shortest-path distance (``inf`` when disconnected).
+
+        Walks the bulk index's classification arrays for one pair, in the
+        order and with the arithmetic of :meth:`query_many`, so the two
+        agree bit for bit.  Raises :class:`~repro.graph.csr.GraphError`
+        for a vertex id outside ``[0, n)``.
+        """
+        b = self._bulk
+        if not 0 <= u < b.n:
+            raise vertex_error(u, b.n)
+        if not 0 <= v < b.n:
+            raise vertex_error(v, b.n)
         if u == v:
             return 0.0
-        mu = self._memberships.get(int(u), [])
-        mv = self._memberships.get(int(v), [])
-        if not mu or not mv:
+        if not (b.member[u] and b.member[v]):
             return float("inf")
-        shared = set(mu) & set(mv)
-        if shared:
-            return min(self._intra(c, u, v) for c in shared)
+        apu, apv = b.is_ap[u], b.is_ap[v]
+        if apu and apv:
+            d = b.ap_shared[b.ap_idx_of[u], b.ap_idx_of[v]]
+            if d < np.inf:
+                return float(d)
+        elif apu:
+            c = b.comp_of[v]
+            la = b.ap_local[c, b.ap_idx_of[u]]
+            if la >= 0:
+                return self.stores[c].dist(la, b.local_of[v])
+        elif apv:
+            c = b.comp_of[u]
+            la = b.ap_local[c, b.ap_idx_of[v]]
+            if la >= 0:
+                return self.stores[c].dist(b.local_of[u], la)
+        elif b.comp_of[u] == b.comp_of[v]:
+            return self.stores[b.comp_of[u]].dist(b.local_of[u], b.local_of[v])
         try:
             bracket = self.tree.boundary_aps(u, v)
         except ValueError:
             return float("inf")
         if bracket is None:  # pragma: no cover - shared-block handled above
             return float("inf")
-        a1, a2 = bracket
-        mid = float(self.ap_matrix[self.ap_index[a1], self.ap_index[a2]])
-        return self._to_ap(mu, u, a1) + mid + self._to_ap(mv, v, a2)
+        a1, a2 = b.ap_idx_of[bracket[0]], b.ap_idx_of[bracket[1]]
+        d_u = d_v = 0.0
+        if not apu:
+            c = b.comp_of[u]
+            d_u = self.stores[c].dist(b.local_of[u], b.ap_local[c, a1])
+        if not apv:
+            c = b.comp_of[v]
+            d_v = self.stores[c].dist(b.local_of[v], b.ap_local[c, a2])
+        return float((d_u + b.ap_matrix[a1, a2]) + d_v)
 
     def query_many(self, pairs: np.ndarray) -> np.ndarray:
         """Bulk ``(k, 2)`` pair queries as array passes.
 
         Classifies every pair at once and resolves each class with batched
-        gathers (see :mod:`repro.apsp.bulk_query`) — bit-identical to the
-        scalar :meth:`query` loop, integer factors faster.
+        gathers (see :mod:`repro.apsp.bulk_query`) — bit-identical to
+        :meth:`query` on each pair, integer factors faster.
         """
         return self._bulk.query_many(pairs)
 
@@ -251,7 +271,7 @@ class ReducedDistanceOracle:
         Returns a :class:`repro.obs.provenance.BatchProvenance` whose
         ``.distances`` are bit-identical to :meth:`query_many` (chain
         closed forms attributed as ``chain-endpoint`` / ``chain-chain`` /
-        ``same-chain``).
+        ``same-chain``, full-table lookups as ``table``).
         """
         return self._bulk.explain_many(pairs)
 
@@ -260,20 +280,11 @@ class ReducedDistanceOracle:
         pairs = np.array([[u, v]], dtype=np.int64)
         return self.explain_many(pairs).record(0)
 
-    def query_many_scalar(self, pairs: np.ndarray) -> np.ndarray:
-        """The per-pair scalar reference loop (kept for differential tests
-        and the bulk-query smoke benchmark)."""
-        pairs = np.asarray(pairs)
-        return np.fromiter(
-            (self.query(int(a), int(b)) for a, b in pairs),
-            dtype=np.float64,
-            count=len(pairs),
-        )
-
     def memory_bytes(self, dtype_bytes: int = 4) -> int:
         """Stored entries × entry size (compare with the dense table)."""
         entries = int(self.ap_matrix.size) + sum(s.entries() for s in self.stores)
         return entries * dtype_bytes
 
     def full_matrix_bytes(self, dtype_bytes: int = 4) -> int:
+        """Bytes a dense ``n × n`` table would need ("Max Memory")."""
         return self.graph.n * self.graph.n * dtype_bytes

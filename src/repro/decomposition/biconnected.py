@@ -59,27 +59,27 @@ class BCCDecomposition:
         """Extract component ``comp_id`` as a standalone graph.
 
         Returns ``(sub, vmap)`` with vertices relabelled ``0..k-1``;
-        ``vmap[new] == old``.
+        ``vmap[new] == old``.  ``vmap`` is sorted, so relabelling is one
+        ``searchsorted`` per endpoint array.
         """
         eids = self.component_edges[comp_id]
         vmap = self.component_vertices[comp_id]
-        inv = {int(v): i for i, v in enumerate(vmap)}
-        us = np.fromiter((inv[int(g.edge_u[e])] for e in eids), dtype=np.int64, count=len(eids))
-        vs = np.fromiter((inv[int(g.edge_v[e])] for e in eids), dtype=np.int64, count=len(eids))
+        us = np.searchsorted(vmap, g.edge_u[eids])
+        vs = np.searchsorted(vmap, g.edge_v[eids])
         sub = CSRGraph(len(vmap), us, vs, g.edge_w[eids])
         return sub, vmap
 
-    def component_keep_mask(self, g: CSRGraph, comp_id: int) -> np.ndarray:
+    def component_keep_mask(self, sub: CSRGraph, comp_id: int) -> np.ndarray:
         """Vertices of component ``comp_id`` that ear reduction must keep.
 
-        A vertex stays in the reduced graph when its degree *within the
-        component* differs from two, or when it is an articulation point of
-        the whole graph (articulation points anchor the block-cut tree and
-        must survive reduction for the cross-component post-processing of
-        Section 2.2).
+        ``sub`` is the component's own subgraph, as returned by
+        :meth:`component_subgraph`.  A vertex stays in the reduced graph
+        when its degree *within the component* differs from two, or when
+        it is an articulation point of the whole graph (articulation points
+        anchor the block-cut tree and must survive reduction for the
+        cross-component post-processing of Section 2.2).
         """
-        sub, vmap = self.component_subgraph(g, comp_id)
-        return (sub.degree != 2) | self.is_articulation[vmap]
+        return (sub.degree != 2) | self.is_articulation[self.component_vertices[comp_id]]
 
 
 def biconnected_components(g: CSRGraph) -> BCCDecomposition:

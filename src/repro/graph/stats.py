@@ -63,8 +63,8 @@ def table1_row(g: CSRGraph, name: str = "") -> GraphStats:
     largest = 100.0 * max(sizes, default=0) / g.m if g.m else 0.0
     removed = 0
     for comp_id in range(bcc.count):
-        sub, vmap = bcc.component_subgraph(g, comp_id)
-        red = reduce_graph(sub, keep=bcc.component_keep_mask(g, comp_id))
+        sub, _ = bcc.component_subgraph(g, comp_id)
+        red = reduce_graph(sub, keep=bcc.component_keep_mask(sub, comp_id))
         removed += int((~red.kept_mask).sum())
     removed_pct = 100.0 * removed / g.n if g.n else 0.0
     deg2 = 100.0 * float((g.degree == 2).sum()) / g.n if g.n else 0.0

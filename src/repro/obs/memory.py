@@ -328,7 +328,7 @@ def table1_bytes(g: "CSRGraph", name: str = "", dtype_bytes: int = 8) -> Table1B
     for cid, verts in enumerate(bcc.component_vertices):
         comp_entries += int(verts.size) ** 2
         sub, _ = bcc.component_subgraph(g, cid)
-        red = reduce_graph(sub, keep=bcc.component_keep_mask(g, cid))
+        red = reduce_graph(sub, keep=bcc.component_keep_mask(sub, cid))
         red_entries += int(red.graph.n) ** 2 + 3 * red.n_removed
     a = int(bcc.is_articulation.sum())
     return Table1Bytes(

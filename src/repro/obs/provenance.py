@@ -12,8 +12,8 @@ it, and which concrete formula produced the number.
 Capture is structured so the distance arithmetic is untouched: the
 resolver only *writes attribution arrays* next to the existing masks, so
 ``explain_many`` distances are bit-identical to ``query_many`` — asserted
-across the qa adversarial corpus and registered as a
-``qa.differential`` check (``oracle-explain`` / ``reduced-oracle-explain``).
+across the qa adversarial corpus by the ``qa.differential`` oracle
+registrations (``oracle-bulk`` / ``reduced-oracle-bulk``).
 """
 
 from __future__ import annotations

@@ -166,45 +166,30 @@ def _all_pairs(n: int) -> np.ndarray:
     return np.column_stack([uu.ravel(), vv.ravel()])
 
 
-def _oracle_bulk_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.oracle import DistanceOracle
-
-    return DistanceOracle(g).query_many(_all_pairs(g.n)).reshape(g.n, g.n)
-
-
-def _reduced_oracle_bulk_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.reduced_oracle import ReducedDistanceOracle
-
-    return ReducedDistanceOracle(g).query_many(_all_pairs(g.n)).reshape(g.n, g.n)
-
-
-def _oracle_explain_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.oracle import DistanceOracle
-
-    oracle = DistanceOracle(g)
+def _oracle_matrix(oracle_cls, g: CSRGraph) -> np.ndarray:
+    """``query_many`` over every pair, after checking the oracle's other
+    two paths against it: ``explain_many(...).distances`` and the scalar
+    ``query`` must equal it bit for bit on every pair."""
+    oracle = oracle_cls(g)
     pairs = _all_pairs(g.n)
-    prov = oracle.explain_many(pairs)
-    # The explain path must not perturb the answer: bit-exact vs query_many.
-    if not np.array_equal(prov.distances, oracle.query_many(pairs)):
+    bulk = oracle.query_many(pairs)
+    if not np.array_equal(oracle.explain_many(pairs).distances, bulk):
         raise AssertionError("explain_many distances diverge from query_many")
-    return prov.distances.reshape(g.n, g.n)
-
-
-def _reduced_oracle_explain_matrix(g: CSRGraph) -> np.ndarray:
-    from ..apsp.reduced_oracle import ReducedDistanceOracle
-
-    oracle = ReducedDistanceOracle(g)
-    pairs = _all_pairs(g.n)
-    prov = oracle.explain_many(pairs)
-    if not np.array_equal(prov.distances, oracle.query_many(pairs)):
-        raise AssertionError("explain_many distances diverge from query_many")
-    return prov.distances.reshape(g.n, g.n)
+    scalar = np.array([oracle.query(u, v) for u, v in pairs.tolist()], dtype=np.float64)
+    if not np.array_equal(scalar, bulk):
+        raise AssertionError(
+            f"scalar query diverges from query_many on "
+            f"{int(np.sum(scalar != bulk))} of {len(pairs)} pairs"
+        )
+    return bulk.reshape(g.n, g.n)
 
 
 def _builtin_registrations() -> None:
     # Imported here: the apsp/mcb packages must not be a hard import cost
     # (or cycle) for anyone importing repro.qa.strategies alone.
     from ..apsp import (
+        DistanceOracle,
+        ReducedDistanceOracle,
         bcc_apsp,
         blocked_floyd_warshall,
         dijkstra_apsp,
@@ -226,16 +211,12 @@ def _builtin_registrations() -> None:
         lambda g: dijkstra_apsp(g, engine="parallel", workers=2, chunk_size=4),
         stride=25,
     )
-    # Bulk-query fast paths: the vectorized oracle query_many over every
-    # pair must reproduce the full matrix (and is additionally asserted
-    # bit-identical to the scalar query loop by tests/test_bulk_query.py).
-    register_apsp("oracle-bulk", _oracle_bulk_matrix, max_n=96)
-    register_apsp("reduced-oracle-bulk", _reduced_oracle_bulk_matrix, max_n=96)
-    # Provenance capture rides the same _resolve body as query_many; the
-    # explain registrations additionally self-assert bit-exactness.
-    register_apsp("oracle-explain", _oracle_explain_matrix, max_n=64, stride=2)
+    # The oracle, over each component store: query_many over every pair
+    # must reproduce the full matrix, and explain_many and the scalar
+    # query must equal query_many bit for bit.
+    register_apsp("oracle-bulk", lambda g: _oracle_matrix(DistanceOracle, g), max_n=96)
     register_apsp(
-        "reduced-oracle-explain", _reduced_oracle_explain_matrix, max_n=64, stride=2
+        "reduced-oracle-bulk", lambda g: _oracle_matrix(ReducedDistanceOracle, g), max_n=96
     )
 
     register_mcb("horton", horton_mcb, max_n=24, reference=True)

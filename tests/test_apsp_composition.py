@@ -73,14 +73,6 @@ def test_path_graph_all_bridges():
     assert close(assemble_full_matrix(g, ct), dijkstra_apsp(g))
 
 
-def test_vertex_local_memberships():
-    g = path_graph(4)
-    ct = build_component_tables(g)
-    assert len(ct.component_of(1)) == 2  # AP in two blocks
-    assert len(ct.component_of(0)) == 1
-    assert ct.component_of(99) == []
-
-
 def test_table_bytes_model():
     g = composite_graph(0)
     ct = build_component_tables(g)

@@ -103,6 +103,10 @@ def test_component_subgraph_roundtrip():
         sub, vmap = bcc.component_subgraph(g, cid)
         assert sub.n == len(vmap)
         assert sub.m == len(bcc.component_edges[cid])
+        # relabelling maps every edge back onto its original endpoints
+        eids = bcc.component_edges[cid]
+        assert np.array_equal(vmap[sub.edge_u], g.edge_u[eids])
+        assert np.array_equal(vmap[sub.edge_v], g.edge_v[eids])
         # weights preserved
         total = g.edge_w[bcc.component_edges[cid]].sum()
         assert np.isclose(sub.total_weight, total)
@@ -112,8 +116,8 @@ def test_component_keep_mask_includes_aps():
     g = composite_graph(0)
     bcc = biconnected_components(g)
     for cid in range(bcc.count):
-        _, vmap = bcc.component_subgraph(g, cid)
-        keep = bcc.component_keep_mask(g, cid)
+        sub, vmap = bcc.component_subgraph(g, cid)
+        keep = bcc.component_keep_mask(sub, cid)
         for i, v in enumerate(vmap):
             if bcc.is_articulation[v]:
                 assert keep[i]

@@ -1,15 +1,15 @@
 """Bit-identity of the vectorized bulk-query fast paths.
 
 The vectorized ``query_many`` kernels must return *bit-identical* results
-to the scalar ``query`` loop (kept as ``query_many_scalar``) — same
-lookups, same minimum sets, same floating-point association order — on
-the full adversarial corpus, including disconnected graphs, self-loop
-blocks, and single-chain cycles.  The corpus seed is the session
+to the scalar ``query`` walk and to ``explain_many`` — same lookups, same
+minimum sets, same floating-point association order — on the full
+adversarial corpus, including disconnected graphs, self-loop blocks, and
+single-chain cycles.  The corpus seed is the session
 ``--repro-seed``, so failures replay exactly.
 
 The same paths are enrolled in the differential registry as
-``oracle-bulk`` / ``reduced-oracle-bulk``, which additionally checks the
-full matrices against the scipy Dijkstra reference.
+``oracle-bulk`` / ``reduced-oracle-bulk``, which check the same identity
+on every pair and the full matrices against the scipy Dijkstra reference.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ def assert_bit_identical(oracle_cls, g, name: str, seed: int) -> None:
     o = oracle_cls(g)
     pairs = _pairs_for(g.n, seed)
     got = o.query_many(pairs)
-    want = o.query_many_scalar(pairs)
+    want = np.array([o.query(u, v) for u, v in pairs.tolist()], dtype=np.float64)
     assert np.array_equal(got, want), (
         f"{oracle_cls.__name__} on {name}: "
         f"{int(np.sum(got != want))} of {len(pairs)} pairs differ"
+    )
+    assert np.array_equal(o.explain_many(pairs).distances, got), (
+        f"{oracle_cls.__name__} on {name}: explain_many differs from query_many"
     )
 
 
